@@ -1,4 +1,4 @@
-"""Zero-copy solve-path benchmark (shim).
+"""Solve-path benchmark (shim).
 
 The workload lives in :mod:`repro.bench.workloads.solve`; this script keeps
 the ``python benchmarks/bench_solve.py [--quick] [--output PATH]`` CLI shape
@@ -20,7 +20,6 @@ except ImportError:  # running from a checkout without an editable install
 
 from repro.bench.workloads.solve import (  # noqa: E402,F401
     run_benchmark,
-    run_shm_benchmark,
     run_stacked_benchmark,
     run_warm_restore_benchmark,
 )

@@ -70,9 +70,8 @@ __all__ = [
 CLUSTER_MIN_CPUS = 4
 CLUSTER_SPEEDUP_FLOOR = 1.5
 
-#: Absolute floors for the zero-copy solve-path ratios (multi-core-guarded
-#: like the cluster floor: a single-core box records them with a note).
-SHM_SPEEDUP_FLOOR = 1.3
+#: Absolute floor for the stacked solve-path ratio (multi-core-guarded like
+#: the cluster floor: a single-core box records it with a note).
 STACKED_SPEEDUP_FLOOR = 1.2
 
 #: Report kinds the gate understands.
@@ -212,9 +211,7 @@ class GuardedRatchetGate:
     always a failure.
 
     ``section`` scopes the field inside a sub-dict of the report (the
-    solve-path ratios live in their sections).  A section the current run
-    marked ``{"skipped": true}`` — e.g. shared memory unavailable on the
-    platform — is noted, never gated.
+    solve-path ratios live in their sections).
     """
 
     field: str
@@ -236,17 +233,9 @@ class GuardedRatchetGate:
     def apply(self, baseline: dict, current: dict, factor: float, out: GateResult) -> None:
         cur = self._container(current)
         base = self._container(baseline)
-        if cur.get("skipped"):
-            out.note(
-                f"note: {self._label} skipped by the current run "
-                f"({cur.get('reason', 'unavailable on this platform')})"
-            )
-            return
         if self.field not in cur:
             out.fail(f"{self._label}: missing from the current report")
             return
-        if base.get("skipped"):
-            base = {}
         cpus = _cpus(current)
         baseline_cpus = _cpus(baseline)
         if self.guard == "both":
@@ -379,15 +368,11 @@ REUSE_FIELDS = ("speedup_reuse_vs_fresh",)
 # The ``parallel`` section is recorded but not gated: thread scaling depends
 # on the runner's core count (a single-core runner honestly reports ~1x).
 
-#: The zero-copy solve-path gates, shared by the ``solve`` workload and the
-#: matching sections embedded in the query-engine report: process dispatch
-#: through the shm arena vs pickled group arrays, and stacked batched
-#: factorization vs per-group solves.  Multi-core-guarded: a single-core
-#: box cannot overlap worker processes, so the ratios are noted, not gated.
+#: The solve-path gate, shared by the ``solve`` workload and the matching
+#: section embedded in the query-engine report: stacked batched
+#: factorization vs per-group solves.  Multi-core-guarded like the cluster
+#: floors, so on a small box the ratio is noted, not gated.
 SOLVE_RATIO_GATES = (
-    GuardedRatchetGate(
-        "speedup_shm_vs_pickled", floor=SHM_SPEEDUP_FLOOR, section="shm"
-    ),
     GuardedRatchetGate(
         "speedup_stacked_vs_pergroup",
         floor=STACKED_SPEEDUP_FLOOR,

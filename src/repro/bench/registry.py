@@ -77,8 +77,8 @@ _DEFS = (
         kind="solve",
         module=f"{_WORKLOADS}.solve",
         description=(
-            "Zero-copy solve path: shm vs pickled process dispatch, stacked "
-            "batched factorization, warm vs cold factor-cache restore"
+            "Solve path: stacked vs per-group factorization, warm vs cold "
+            "factor-cache restore"
         ),
         gated=True,
         baseline="BENCH_solve.json",

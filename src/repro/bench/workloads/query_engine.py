@@ -452,15 +452,11 @@ def run_benchmark(
     reuse = run_reuse_benchmark(
         n_rounds=reuse_rounds, repetitions=repetitions, samples=samples
     )
-    # The zero-copy solve-path sections (shm arena vs pickled process
-    # dispatch, stacked vs per-group factorization) ride along at reduced
-    # scale; the dedicated ``solve`` workload runs them full-size.  Their
-    # ratios gate multi-core-guarded, like the cluster floor.
-    from repro.bench.workloads.solve import run_shm_benchmark, run_stacked_benchmark
+    # The stacked-vs-per-group solve section rides along at reduced scale;
+    # the dedicated ``solve`` workload runs it full-size.  Its ratio gates
+    # multi-core-guarded, like the cluster floor.
+    from repro.bench.workloads.solve import run_stacked_benchmark
 
-    shm = run_shm_benchmark(
-        n_groups=128, group_size=32, repetitions=repetitions, samples=samples
-    )
     stacked = run_stacked_benchmark(
         n_groups=60, repetitions=repetitions, samples=samples
     )
@@ -477,7 +473,6 @@ def run_benchmark(
         "l2_index": l2,
         "parallel": parallel,
         "reuse": reuse,
-        "shm": shm,
         "stacked": stacked,
         "acceptance": {
             "n_support": ACCEPTANCE_N,
@@ -526,15 +521,6 @@ def print_summary(report: dict) -> None:
         f"{reuse['reuse_factor_updates']} updates / "
         f"{reuse['reuse_factor_fresh']} fresh)"
     )
-    shm = report.get("shm") or {}
-    if shm.get("skipped"):
-        print(f"shm: skipped ({shm.get('reason', 'unavailable')})")
-    elif shm:
-        print(
-            f"shm n_groups={shm['n_groups']} support={shm['n_support_per_group']}  "
-            f"pickled={shm['pickled_seconds']:.3f}s  shm={shm['shm_seconds']:.3f}s  "
-            f"({shm['speedup_shm_vs_pickled']:.2f}x)"
-        )
     stacked = report.get("stacked")
     if stacked:
         print(

@@ -1,24 +1,20 @@
-"""Solve-path workload: zero-copy dispatch, stacked factorization, warm restore.
+"""Solve-path workload: stacked factorization and warm restore.
 
-Three sections, one per lever of the zero-copy solve path:
+Two sections, one per lever of the solve path:
 
-* ``shm``     — the grouped process-backend dispatch with supports shipped
-  as pickled arrays versus published once through the shared-memory arena
-  (:mod:`repro.core.shm`) and gathered worker-side.  Both paths run the
-  same pool and must answer **bit-identically**; the speedup is purely the
-  removed serialization tax.
-* ``stacked`` — ``ordinary_kriging_grouped`` with per-group bordered-system
-  solves versus same-size systems stacked into one batched LAPACK call per
-  size bin (serial, factor cache off, so the ratio isolates the stacking).
+* ``stacked`` — a per-group ``ordinary_kriging_batch`` loop versus
+  ``ordinary_kriging_grouped``, which stacks same-size systems into one
+  batched LAPACK call per size bin (serial, factor cache off, so the ratio
+  isolates the stacking).  Both must answer **bit-identically**.
 * ``warm_restore`` — a factor-cache-bearing format-v2 session snapshot
   restored warm versus the same snapshot with its factor section stripped
   (a v1-style cold restore), replaying the exact pre-snapshot query batch.
   The warm replay must refactorize **zero** groups — counter-asserted here
   and gated in CI.
 
-The speedup ratios are multi-core-guarded like the cluster floors: on a
-small box they are recorded with a note, on ``>= 4`` CPUs they gate
-against absolute floors (shm ``>= 1.3x``, stacked ``>= 1.2x``).
+The stacked ratio is multi-core-guarded like the cluster floors: on a
+small box it is recorded with a note, on ``>= 4`` CPUs it gates against an
+absolute floor (``>= 1.2x``).
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ import argparse
 import pathlib
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -36,27 +31,13 @@ from repro.bench.report import finalize_report, write_report
 from repro.bench.runner import SampleLog, measure
 from repro.bench.spec import WorkloadSpec
 from repro.core.estimator import KrigingEstimator
-from repro.core.kriging import (
-    ordinary_kriging_grouped,
-    ordinary_kriging_grouped_shm,
-)
+from repro.core.kriging import ordinary_kriging_batch, ordinary_kriging_grouped
 from repro.core.models import ExponentialVariogram
-from repro.core.shm import ShmArena, shm_available
 from repro.service.session import load_snapshot, save_snapshot
 
 NUM_VARIABLES = 5
 WORKLOAD_SEED = 11
 VARIOGRAM = ExponentialVariogram(sill=25.0, range_=8.0)
-
-#: shm section: many *small* groups.  The serialization tax scales with
-#: payload per unit compute (~ d/n^2 for an n-point bordered system), so
-#: the dispatch-dominated regime — lots of tiny flushes — is where the
-#: arena's zero-copy handoff shows up, not a few big solves.
-SHM_GROUPS = 256
-SHM_GROUP_SIZE = 32
-SHM_QUERIES_PER_GROUP = 4
-SHM_WORKERS = 2
-SHM_ACCEPTANCE_SPEEDUP = 1.3
 
 #: stacked section: many small same-size systems so batching the LAPACK
 #: calls (and dropping the per-group Python dispatch) dominates.
@@ -77,20 +58,16 @@ SPEC = WorkloadSpec(
     name="solve",
     kind="solve",
     description=(
-        "Zero-copy solve path: shm vs pickled process dispatch, stacked vs "
-        "per-group factorization, warm vs cold factor-cache restore"
+        "Solve path: stacked vs per-group factorization, warm vs cold "
+        "factor-cache restore"
     ),
     seed=WORKLOAD_SEED,
     repetitions=3,
     params={
-        "shm_groups": SHM_GROUPS,
-        "shm_group_size": SHM_GROUP_SIZE,
         "stacked_groups": STACKED_GROUPS,
         "warm_support": WARM_SUPPORT,
     },
     quick={
-        "shm_groups": 128,
-        "shm_group_size": 32,
         "stacked_groups": 60,
         "warm_support": 1200,
         "repetitions": 2,
@@ -152,82 +129,6 @@ def _indexed_groups(
 
 
 # ----------------------------------------------------------------------
-# shm: pickled process dispatch vs the shared-memory arena
-# ----------------------------------------------------------------------
-def run_shm_benchmark(
-    n_groups: int = SHM_GROUPS,
-    group_size: int = SHM_GROUP_SIZE,
-    n_queries: int = SHM_QUERIES_PER_GROUP,
-    repetitions: int = 3,
-    samples: SampleLog | None = None,
-) -> dict:
-    """Time one grouped flush dispatched to a process pool both ways.
-
-    Identical groups, identical pool, identical worker arithmetic — the
-    pickled path ships every group's support arrays per call, the shm path
-    publishes the pool's arrays once and ships row offsets.  Platforms
-    without working shared memory report ``{"skipped": true}`` and the
-    gate records a note instead of failing.
-    """
-    if not shm_available():
-        return {"skipped": True, "reason": "multiprocessing.shared_memory unavailable"}
-    rng = np.random.default_rng(WORKLOAD_SEED)
-    points, values = _reference_pool(rng, max(group_size * 2, 1024))
-    supports, queries_list = _indexed_groups(
-        rng, points, n_groups, (group_size,), n_queries
-    )
-    groups = [
-        (points[rows], values[rows], queries)
-        for rows, queries in zip(supports, queries_list)
-    ]
-
-    timings = {}
-    arena = ShmArena()
-    with ProcessPoolExecutor(max_workers=SHM_WORKERS) as pool:
-        # Warm the pool (worker spawn + first-import cost stays untimed)
-        # and the arena (the first publish copies the whole pool; steady-
-        # state flushes copy only appended rows — i.e. nothing here).
-        list(pool.map(abs, range(SHM_WORKERS)))
-        ordinary_kriging_grouped_shm(
-            arena, points, values, supports[:2], queries_list[:2], VARIOGRAM,
-            metric="l1", n_jobs=SHM_WORKERS, executor=pool,
-        )
-
-        def _pickled():
-            return ordinary_kriging_grouped(
-                groups, VARIOGRAM, metric="l1", n_jobs=SHM_WORKERS,
-                executor=pool, backend="process",
-            )
-
-        def _shm():
-            return ordinary_kriging_grouped_shm(
-                arena, points, values, supports, queries_list, VARIOGRAM,
-                metric="l1", n_jobs=SHM_WORKERS, executor=pool,
-            )
-
-        timings["pickled"], out_pickled = _time(
-            _pickled, repetitions=repetitions, samples=samples, label="shm.pickled"
-        )
-        timings["shm"], out_shm = _time(
-            _shm, repetitions=repetitions, samples=samples, label="shm.shm"
-        )
-    arena.close()
-
-    # Zero-copy is a dispatch knob only: bit-identical answers.
-    np.testing.assert_array_equal(_estimates(out_pickled), _estimates(out_shm))
-    return {
-        "n_groups": n_groups,
-        "n_support_per_group": group_size,
-        "n_queries_per_group": n_queries,
-        "n_workers": SHM_WORKERS,
-        "pickled_seconds": round(timings["pickled"], 6),
-        "shm_seconds": round(timings["shm"], 6),
-        "speedup_shm_vs_pickled": round(timings["pickled"] / timings["shm"], 2),
-        "bitwise_equal": True,
-    }
-
-
-# ----------------------------------------------------------------------
 # stacked: per-group factorization vs one batched call per size bin
 # ----------------------------------------------------------------------
 def run_stacked_benchmark(
@@ -237,10 +138,11 @@ def run_stacked_benchmark(
     repetitions: int = 3,
     samples: SampleLog | None = None,
 ) -> dict:
-    """Serial grouped solve, stacking off versus on (factor cache off).
+    """Per-group ``ordinary_kriging_batch`` loop versus the serial grouped
+    solve (factor cache off).
 
     Every group's bordered system is regular on this workload, so the
-    stacked path really does run one batched ``numpy.linalg.solve`` per
+    grouped path really does run one batched ``numpy.linalg.solve`` per
     size bin; the two variants must agree bit for bit (the batched call
     loops the same LAPACK routine over the stack).
     """
@@ -253,12 +155,13 @@ def run_stacked_benchmark(
     ]
 
     def _per_group():
-        return ordinary_kriging_grouped(groups, VARIOGRAM, metric="l1", n_jobs=1)
+        return [
+            ordinary_kriging_batch(points, values, queries, VARIOGRAM, metric="l1")
+            for points, values, queries in groups
+        ]
 
     def _stacked():
-        return ordinary_kriging_grouped(
-            groups, VARIOGRAM, metric="l1", n_jobs=1, stacking=True
-        )
+        return ordinary_kriging_grouped(groups, VARIOGRAM, metric="l1", n_jobs=1)
 
     _stacked()  # warm-up: allocator + BLAS regime hot before timing
     timings = {}
@@ -377,17 +280,11 @@ def run_warm_restore_benchmark(
 
 
 def run_benchmark(
-    shm_groups: int = SHM_GROUPS,
-    shm_group_size: int = SHM_GROUP_SIZE,
     stacked_groups: int = STACKED_GROUPS,
     warm_support: int = WARM_SUPPORT,
     repetitions: int = 3,
     samples: SampleLog | None = None,
 ) -> dict:
-    shm = run_shm_benchmark(
-        n_groups=shm_groups, group_size=shm_group_size,
-        repetitions=repetitions, samples=samples,
-    )
     stacked = run_stacked_benchmark(
         n_groups=stacked_groups, repetitions=repetitions, samples=samples
     )
@@ -400,11 +297,9 @@ def run_benchmark(
             "num_variables": NUM_VARIABLES,
             "variogram": "exponential(sill=25, range=8)",
         },
-        "shm": shm,
         "stacked": stacked,
         "warm_restore": warm,
         "acceptance": {
-            "shm_threshold": SHM_ACCEPTANCE_SPEEDUP,
             "stacked_threshold": STACKED_ACCEPTANCE_SPEEDUP,
             "warm_fresh_factorizations": warm["warm_fresh_factorizations"],
             "passed": warm["warm_fresh_factorizations"] == 0,
@@ -413,15 +308,6 @@ def run_benchmark(
 
 
 def print_summary(report: dict) -> None:
-    shm = report["shm"]
-    if shm.get("skipped"):
-        print(f"shm: skipped ({shm.get('reason', 'unavailable')})")
-    else:
-        print(
-            f"shm n_groups={shm['n_groups']} support={shm['n_support_per_group']}  "
-            f"pickled={shm['pickled_seconds']:.3f}s  shm={shm['shm_seconds']:.3f}s  "
-            f"({shm['speedup_shm_vs_pickled']:.2f}x)"
-        )
     st = report["stacked"]
     print(
         f"stacked n_groups={st['n_groups']} sizes={st['group_sizes']}  "
@@ -450,8 +336,6 @@ def run(name: str, args: argparse.Namespace) -> RunResult:
     spec = SPEC.resolve(quick=getattr(args, "quick", False))
     samples = SampleLog()
     body = run_benchmark(
-        shm_groups=spec.params["shm_groups"],
-        shm_group_size=spec.params["shm_group_size"],
         stacked_groups=spec.params["stacked_groups"],
         warm_support=spec.params["warm_support"],
         repetitions=spec.repetitions,

@@ -39,7 +39,6 @@ from repro.experiments.registry import (
     SCALES,
     build_benchmark,
 )
-from repro.core.kriging import SOLVE_BACKENDS
 from repro.experiments.replay import MetricKind, replay_trace
 from repro.experiments.reporting import (
     format_factor_reuse,
@@ -120,13 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="workers for grouped kriging solves (-1: one per CPU)",
     )
-    p_table.add_argument(
-        "--backend",
-        choices=SOLVE_BACKENDS,
-        default="thread",
-        help="executor for grouped kriging solves (process: for workloads "
-        "dominated by GIL-holding group assembly)",
-    )
 
     p_fig = sub.add_parser("figure1", help="render the FIR noise-power surface")
     p_fig.add_argument("--min-wl", type=int, default=6)
@@ -153,13 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_jobs_arg,
         default=1,
         help="workers for grouped kriging solves (-1: one per CPU)",
-    )
-    p_rep.add_argument(
-        "--backend",
-        choices=SOLVE_BACKENDS,
-        default="thread",
-        help="executor for grouped kriging solves (process: for workloads "
-        "dominated by GIL-holding group assembly)",
     )
 
     sub.add_parser("benchmarks", help="list available benchmarks")
@@ -381,7 +366,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         nn_min=args.nn_min,
         variogram=args.variogram,
         n_jobs=args.jobs,
-        backend=args.backend,
     )
     print(format_table1(rows))
     return 0
@@ -416,7 +400,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         nn_min=args.nn_min,
         variogram=args.variogram,
         n_jobs=args.jobs,
-        backend=args.backend,
     )
     unit = "bits" if stats.metric_kind is MetricKind.NOISE_POWER_DB else "rel"
     print(

@@ -17,10 +17,7 @@ The package implements the full geostatistical pipeline of Section III:
 5. :mod:`~repro.core.factor_cache` / :mod:`~repro.core.lowrank` — the
    factorization-reuse layer under the batch engine: an LRU of Cholesky
    factors of the (shifted) Gamma matrices keyed by support-set signature,
-   bridged across near-identical support sets by rank-1 row edits;
-6. :mod:`~repro.core.shm` — the shared-memory arena of the zero-copy
-   process solve path: the support cache is published once, workers attach
-   by segment name and per-flush payloads shrink to row offsets.
+   bridged across near-identical support sets by rank-1 row edits.
 """
 
 from repro.core.cache import SimulationCache
@@ -54,13 +51,10 @@ from repro.core.kriging import (
     ordinary_kriging,
     ordinary_kriging_batch,
     ordinary_kriging_grouped,
-    ordinary_kriging_grouped_shm,
-    resolve_backend,
     resolve_n_jobs,
     simple_kriging,
     solve_groups_stacked,
 )
-from repro.core.shm import ShmArena, ShmAttachError, shm_available
 from repro.core.lowrank import chol_append, chol_delete, choldowndate, cholupdate
 from repro.core.universal import linear_drift, quadratic_drift, universal_kriging
 from repro.core.models import (
@@ -95,14 +89,9 @@ __all__ = [
     "ordinary_kriging",
     "ordinary_kriging_batch",
     "ordinary_kriging_grouped",
-    "ordinary_kriging_grouped_shm",
     "solve_groups_stacked",
     "SolvePhases",
     "SolvePhaseStats",
-    "ShmArena",
-    "ShmAttachError",
-    "shm_available",
-    "resolve_backend",
     "resolve_n_jobs",
     "simple_kriging",
     "universal_kriging",

@@ -28,8 +28,7 @@ The query hot path is a vectorized engine with three layers:
   :func:`~repro.core.kriging.ordinary_kriging_batch`, which factorizes the
   bordered Gamma matrix once per group and back-substitutes all right-hand
   sides together; with ``n_jobs > 1`` independent groups solve concurrently
-  on a thread or process pool
-  (:func:`~repro.core.kriging.ordinary_kriging_grouped`).
+  on a thread pool (:func:`~repro.core.kriging.ordinary_kriging_grouped`).
   The outcomes — simulate/interpolate decisions, final cache contents, and
   values (to tight numerical tolerance) — match an equivalent sequence of
   :meth:`~KrigingEstimator.evaluate` calls, for every ``n_jobs``;
@@ -45,13 +44,9 @@ The query hot path is a vectorized engine with three layers:
 
 from __future__ import annotations
 
-import atexit
-import logging
 import time
 import warnings
-import weakref
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -64,14 +59,10 @@ from repro.core.fitting import MODEL_KINDS, fit_variogram, select_variogram
 from repro.core.index import NeighborIndex, make_index
 from repro.core.kriging import (
     SolvePhases,
-    make_model_ref,
     ordinary_kriging,
     ordinary_kriging_grouped,
-    ordinary_kriging_grouped_shm,
-    resolve_backend,
     resolve_n_jobs,
 )
-from repro.core.shm import ShmArena, ShmAttachError, shm_available
 from repro.core.models import LinearVariogram, VariogramModel, variogram_from_state
 from repro.core.neighborhood import find_neighbors
 from repro.core.universal import adaptive_linear_drift, universal_kriging
@@ -83,59 +74,7 @@ __all__ = ["EstimationOutcome", "KrigingEstimator", "SolvePhaseStats"]
 SimulateFn = Callable[[np.ndarray], float]
 
 #: The scale-free prior used until ``min_fit_points`` simulations exist.
-#: One shared (frozen, stateless) instance so identity-keyed memos — the
-#: process backend's pickled-model ref — stay valid across flushes.
 _PREFIT_VARIOGRAM = LinearVariogram(1.0)
-
-#: Estimators whose solve executor is (or may be) alive.  Closed at
-#: interpreter exit so an abandoned estimator — a crashed service, a test
-#: that never called :meth:`KrigingEstimator.close` — cannot leak process-
-#: pool workers past the parent's lifetime.  A ``WeakSet`` so registration
-#: never keeps an estimator alive (``__del__`` remains reachable).
-_LIVE_ESTIMATORS: "weakref.WeakSet[KrigingEstimator]" = weakref.WeakSet()
-
-
-_SHM_WARNED = False
-
-logger = logging.getLogger("repro.core.estimator")
-
-#: Process-wide count of shared-memory attach failures that forced the
-#: pickled (or thread) fallback — surfaced by the service's metrics
-#: registry as ``repro_shm_attach_failures_total``.  Module-level on
-#: purpose: the failure is a property of this process's shm machinery, not
-#: of any one estimator instance.
-_SHM_ATTACH_FAILURES = 0
-
-
-def shm_attach_failures() -> int:
-    """Shared-memory attach failures seen by this process so far."""
-    return _SHM_ATTACH_FAILURES
-
-
-def _warn_shm_unavailable() -> None:
-    """One warning per process when ``shm=True`` cannot be honoured."""
-    global _SHM_WARNED
-    if not _SHM_WARNED:
-        _SHM_WARNED = True
-        logger.warning(
-            "multiprocessing.shared_memory is unavailable on this platform; "
-            "falling back to the thread backend"
-        )
-        warnings.warn(
-            "multiprocessing.shared_memory is unavailable on this platform; "
-            "falling back to the thread backend",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-@atexit.register
-def _close_live_estimators() -> None:
-    for estimator in list(_LIVE_ESTIMATORS):
-        try:
-            estimator.close()
-        except Exception:  # pragma: no cover - interpreter-shutdown races
-            pass
 
 
 @dataclass(frozen=True)
@@ -260,9 +199,6 @@ class EstimatorStats:
     solve: SolvePhaseStats = field(default_factory=SolvePhaseStats)
     """Per-flush assembly / factorize / backsolve wall-clock split of the
     batch engine's grouped solves (cumulative seconds plus P² sketches)."""
-    pool_failures: int = 0
-    """Process-pool breakdowns (a worker died mid-flush) absorbed by the
-    thread-backend fallback; the pool is rebuilt lazily on the next flush."""
 
     def record_interpolation(self, n_neighbors: int) -> None:
         """Count one interpolation answered with ``n_neighbors`` support points."""
@@ -320,7 +256,6 @@ class EstimatorStats:
             "neighbor_sketch": self.neighbor_sketch.to_state(),
             "factor": [list(pair) for pair in self.factor.as_pairs()],
             "solve": self.solve.to_state(),
-            "pool_failures": self.pool_failures,
         }
 
     @classmethod
@@ -343,7 +278,6 @@ class EstimatorStats:
                 if "solve" in state
                 else SolvePhaseStats()
             ),
-            pool_failures=int(state.get("pool_failures", 0)),
         )
         return stats
 
@@ -400,49 +334,15 @@ class KrigingEstimator:
         (``1``/``None`` sequential, ``-1`` one per CPU).  Purely a
         wall-clock knob: decisions, cache contents and values are identical
         for every setting (each group is solved on a single worker in a
-        fixed order).
-    backend:
-        Executor kind for the group solves: ``"thread"`` (default —
-        zero-copy, LAPACK releases the GIL) or ``"process"`` (a
-        ``ProcessPoolExecutor`` shipping groups as contiguous arrays, for
-        workloads dominated by the GIL-holding group assembly; requires a
-        picklable variogram).  For a fixed backend, results are
-        bit-identical for every ``n_jobs``.  The process backend bypasses
-        the factor cache (factors cannot cross the process boundary), so
-        with ``factor_cache=True`` thread and process runs may differ
-        within the engine's ~1e-9 envelope; disable the cache for
-        bit-equality *across* backends.  Call :meth:`close` (or use the
-        estimator as a context manager) to release the pool.
-    stacking:
-        Batch same-size bordered systems into one stacked LAPACK call per
-        flush (:func:`~repro.core.kriging.solve_groups_stacked`).  ``True``
-        (default) on every backend; bins are computed before dispatch, so
-        for a fixed setting results stay bit-identical across ``n_jobs``
-        and backends, and toggling the knob stays within the engine's
-        ~1e-9 equivalence envelope.
-    shm:
-        Shared-memory dispatch for the process backend: publish the
-        simulation cache and per-flush group buffers into a
-        :class:`~repro.core.shm.ShmArena` so workers attach views instead
-        of receiving pickled arrays (bit-identical — workers rebuild the
-        exact gathers the parent would ship).  ``None`` (default) uses
-        shared memory whenever the platform supports it and silently keeps
-        the pickled path otherwise; ``True`` insists — where
-        ``multiprocessing.shared_memory`` is unavailable the estimator
-        warns once and falls back to the thread backend instead of
-        raising; ``False`` always pickles.  A worker that fails to attach
-        mid-run degrades the estimator to the pickled path for its
-        lifetime (structured, never a wedged flush).  Ignored on the
-        thread backend.
+        fixed order).  Call :meth:`close` (or use the estimator as a
+        context manager) to release the thread pool.
     factor_cache:
         The factorization-reuse layer: ``True`` (default) builds a
         :class:`~repro.core.factor_cache.FactorCache`, ``False`` disables
         reuse, or pass a pre-configured instance to tune capacity and the
         up/downdate distance.  Purely a performance knob: every reused
         solve is residual-checked with a transparent fresh-solve fallback.
-        The cache is invalidated whenever the variogram is (re)fitted, and
-        is not consulted on the process backend (factors cannot cross the
-        process boundary).
+        The cache is invalidated whenever the variogram is (re)fitted.
     """
 
     def __init__(
@@ -461,9 +361,6 @@ class KrigingEstimator:
         interpolator: str = "ordinary",
         neighbor_index: str = "auto",
         n_jobs: int | None = 1,
-        backend: str = "thread",
-        stacking: bool = True,
-        shm: bool | None = None,
         factor_cache: bool | FactorCache = True,
     ) -> None:
         if distance < 0:
@@ -495,21 +392,7 @@ class KrigingEstimator:
             self.metric, num_variables, neighbor_index
         )
         self.n_jobs = resolve_n_jobs(n_jobs)
-        self.backend = resolve_backend(backend)
-        self.stacking = bool(stacking)
-        self.shm = shm
-        if shm is True and not shm_available():
-            # Satellite fix: never raise at construction on platforms
-            # without shared memory — warn once, take the thread path.
-            _warn_shm_unavailable()
-            self.backend = "thread"
-            self._shm_enabled = False
-        elif shm is False:
-            self._shm_enabled = False
-        else:
-            self._shm_enabled = self.backend == "process" and shm_available()
-        self._arena: ShmArena | None = None  # lazy, created on first shm flush
-        self._executor: Executor | None = None  # lazy, reused per flush
+        self._executor: ThreadPoolExecutor | None = None  # lazy, reused per flush
         self.stats = EstimatorStats()
         if isinstance(factor_cache, FactorCache):
             self.factor_cache: FactorCache | None = factor_cache
@@ -525,10 +408,6 @@ class KrigingEstimator:
         self._max_variance = max_variance
         self._fitted: Callable[[np.ndarray], np.ndarray] | None = None
         self._fitted_at: int = -1
-        # Process-backend dispatch: the current variogram, pickled once per
-        # fit generation (make_model_ref) and memoized here by identity.
-        self._model_ref: tuple[int, bytes] | None = None
-        self._model_ref_source: object | None = None
 
     # ------------------------------------------------------------------
     # variogram management
@@ -539,9 +418,6 @@ class KrigingEstimator:
             return spec
         n_sim = len(self.cache)
         if n_sim < self._min_fit_points:
-            # The shared module-level instance, not a fresh object: the
-            # process backend memoizes its pickled model by identity, so a
-            # new object per call would re-pickle on every warmup flush.
             return _PREFIT_VARIOGRAM
         needs_fit = self._fitted is None or (
             self._refit_interval is not None
@@ -582,18 +458,6 @@ class KrigingEstimator:
         if not callable(self._variogram_spec):
             self._fitted = None
         return self._current_variogram()
-
-    def _process_model_ref(
-        self, variogram: Callable[[np.ndarray], np.ndarray]
-    ) -> tuple[int, bytes] | None:
-        """The memoized ``(fit generation, pickle)`` ref shipped to process
-        workers — re-pickled only when the fitted model changes."""
-        if self.backend != "process":
-            return None
-        if self._model_ref is None or self._model_ref_source is not variogram:
-            self._model_ref = make_model_ref(variogram)
-            self._model_ref_source = variogram
-        return self._model_ref
 
     # ------------------------------------------------------------------
     # shared steps
@@ -765,18 +629,14 @@ class KrigingEstimator:
         variogram = self._current_variogram()
         points = self.cache.points
         values = self.cache.values
-        use_factors = self.factor_cache is not None and self.backend == "thread"
 
         # Split the deferred work: every ordinary group — singletons included,
         # so near-identical neighbourhoods of consecutive queries reuse each
         # other's factorizations — goes through the grouped (and parallel)
         # batch solver; the universal interpolator keeps the per-query solve
-        # (its drift basis is per-query).  Groups are carried by reference
-        # (support rows + queries): the shm path ships exactly those, the
-        # pickled/thread paths materialize the gathers just before dispatch.
+        # (its drift basis is per-query).
         batched: list[list[tuple[int, np.ndarray, np.ndarray]]] = []
-        supports: list[np.ndarray] = []
-        queries_list: list[np.ndarray] = []
+        groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         factors: list[GammaFactor | None] = []
         singles: list[tuple[int, np.ndarray, np.ndarray]] = []
         for signature, items in pending.items():
@@ -787,7 +647,7 @@ class KrigingEstimator:
                     self.factor_cache.factor_for(
                         signature, points, variogram, self.metric
                     )
-                    if use_factors
+                    if self.factor_cache is not None
                     else None
                 )
                 # A factor's rows are a permutation of the signature; feeding
@@ -799,24 +659,25 @@ class KrigingEstimator:
                 )
                 queries = np.stack([config for _, config, _ in items])
                 batched.append(items)
-                supports.append(support)
-                queries_list.append(queries)
+                groups.append((points[support], values[support], queries))
                 factors.append(factor)
 
         # One long-lived pool per estimator: the batch engine flushes before
         # every simulation, so a per-flush executor would pay spawn/join
         # costs hundreds of times per sweep.
-        if self.n_jobs > 1 and len(supports) > 1 and self._executor is None:
-            if self.backend == "process":
-                self._executor = ProcessPoolExecutor(max_workers=self.n_jobs)
-            else:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.n_jobs, thread_name_prefix="kriging"
-                )
-            _LIVE_ESTIMATORS.add(self)
+        if self.n_jobs > 1 and len(groups) > 1 and self._executor is None:
+            self._executor = ThreadPoolExecutor(
+                max_workers=self.n_jobs, thread_name_prefix="kriging"
+            )
         phases = SolvePhases()
-        grouped_results = self._dispatch_groups(
-            supports, queries_list, factors, use_factors, variogram, phases
+        grouped_results = ordinary_kriging_grouped(
+            groups,
+            variogram,
+            metric=self.metric,
+            n_jobs=self.n_jobs,
+            executor=self._executor,
+            factors=factors,
+            phases=phases,
         )
         if batched:
             self.stats.solve.record_flush(*phases.totals())
@@ -851,157 +712,14 @@ class KrigingEstimator:
         self.stats.kriging_seconds += time.perf_counter() - start
         pending.clear()
 
-    def _dispatch_groups(
-        self,
-        supports: list[np.ndarray],
-        queries_list: list[np.ndarray],
-        factors: list[GammaFactor | None],
-        use_factors: bool,
-        variogram: Callable[[np.ndarray], np.ndarray],
-        phases: SolvePhases,
-    ) -> list[list]:
-        """Route one flush's groups to the best available solve path.
-
-        Preference order on the process backend: shared-memory dispatch
-        (groups travel as row indices into the published cache mirror) →
-        pickled dispatch (on platforms without shared memory, or after a
-        worker failed to attach) → thread-backend retry (when the process
-        pool itself broke mid-flush).  Every step is a structured
-        degradation: the flush always completes, results are identical on
-        every path, and the event is observable (``pool_failures``, the shm
-        warning) rather than a wedged estimator.
-        """
-        points = self.cache.points
-        values = self.cache.values
-        model_ref = self._process_model_ref(variogram)
-
-        def run_pickled(
-            backend: str,
-            executor: Executor | None,
-            with_factors: bool,
-            with_ref: bool,
-            attempt: SolvePhases,
-        ) -> list[list]:
-            groups = [
-                (points[rows], values[rows], queries)
-                for rows, queries in zip(supports, queries_list)
-            ]
-            return ordinary_kriging_grouped(
-                groups,
-                variogram,
-                metric=self.metric,
-                n_jobs=self.n_jobs,
-                executor=executor,
-                backend=backend,
-                factors=factors if with_factors else None,
-                model_ref=model_ref if with_ref else None,
-                stacking=self.stacking,
-                phases=attempt,
-            )
-
-        # Phase totals accumulate per *attempt* and merge only on success,
-        # so a mid-flush fallback cannot double-count solve seconds.
-        try:
-            if (
-                self._shm_enabled
-                and self.backend == "process"
-                and self.n_jobs > 1
-                and len(supports) > 1
-            ):
-                attempt = SolvePhases()
-                try:
-                    if self._arena is None:
-                        self._arena = ShmArena()
-                        _LIVE_ESTIMATORS.add(self)
-                    results = ordinary_kriging_grouped_shm(
-                        self._arena,
-                        points,
-                        values,
-                        supports,
-                        queries_list,
-                        variogram,
-                        metric=self.metric,
-                        n_jobs=self.n_jobs,
-                        executor=self._executor,
-                        model_ref=model_ref,
-                        stacking=self.stacking,
-                        phases=attempt,
-                    )
-                    phases.merge(attempt.totals())
-                    return results
-                except ShmAttachError as exc:
-                    self._disable_shm(exc)
-            attempt = SolvePhases()
-            results = run_pickled(
-                self.backend, self._executor, use_factors, True, attempt
-            )
-            phases.merge(attempt.totals())
-            return results
-        except BrokenProcessPool:
-            # A worker died mid-flush (OOM kill, crash, SIGKILL): map the
-            # poisoned pool to a structured recovery instead of wedging the
-            # estimator.  Tear the pool down now, rebuild it lazily on the
-            # next flush, and answer *this* flush on the thread backend.
-            self.stats.pool_failures += 1
-            logger.warning(
-                "solve process pool broke mid-flush; answering this flush on "
-                "the thread backend and rebuilding the pool lazily",
-                extra={
-                    "backend": self.backend,
-                    "n_jobs": self.n_jobs,
-                    "pool_failures": self.stats.pool_failures,
-                },
-            )
-            executor = self._executor
-            self._executor = None
-            if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
-            attempt = SolvePhases()
-            results = run_pickled("thread", None, False, False, attempt)
-            phases.merge(attempt.totals())
-            return results
-
-    def _disable_shm(self, exc: ShmAttachError) -> None:
-        """A worker could not attach: pickled dispatch for this estimator's
-        lifetime (one warning; the arena's segments are unlinked now)."""
-        global _SHM_ATTACH_FAILURES
-        _SHM_ATTACH_FAILURES += 1
-        self._shm_enabled = False
-        logger.warning(
-            "shared-memory solve path disabled; using pickled process dispatch",
-            extra={"reason": str(exc), "attach_failures": _SHM_ATTACH_FAILURES},
-        )
-        warnings.warn(
-            f"shared-memory solve path disabled ({exc}); "
-            "using pickled process dispatch",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        arena, self._arena = self._arena, None
-        if arena is not None:
-            arena.close()
-
     def close(self) -> None:
-        """Release the long-lived solve executor (idempotent).
+        """Release the long-lived solve thread pool (idempotent).
 
-        Matters for ``backend="process"``, whose worker processes otherwise
-        outlive the estimator; the thread pool is released too.  The
-        estimator stays usable after ``close`` — the pool is re-created
+        The estimator stays usable after ``close`` — the pool is re-created
         lazily on the next flush.  Safe to call any number of times, and
-        called automatically on garbage collection (``__del__``) and at
-        interpreter exit, so an abandoned estimator — a crashed service, an
-        exception before the ``with`` block — never leaks worker processes.
-        The shared-memory arena (if any) is unlinked here too, so no
-        ``/dev/shm`` segment outlives the estimator.
+        called automatically on garbage collection (``__del__``).
         """
-        executor = self._executor
-        arena = self._arena
-        if executor is not None or arena is not None:
-            self._executor = None
-            self._arena = None
-            _LIVE_ESTIMATORS.discard(self)
-        if arena is not None:
-            arena.close()
+        executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True)
 
@@ -1103,9 +821,6 @@ class KrigingEstimator:
             "interpolator": self.interpolator,
             "neighbor_index": self._neighbor_index_kind,
             "n_jobs": self.n_jobs,
-            "backend": self.backend,
-            "stacking": self.stacking,
-            "shm": self.shm,
             "factor_cache": self.factor_cache is not None,
             "fitted": fitted.to_state() if fitted is not None else None,
             "fitted_at": self._fitted_at,
@@ -1126,7 +841,7 @@ class KrigingEstimator:
 
         ``simulate`` re-binds the metric function (callables do not
         serialize); ``overrides`` replace constructor keywords — e.g.
-        ``n_jobs``/``backend`` when restoring onto different hardware.
+        ``n_jobs`` when restoring onto different hardware.
         The restored estimator makes bit-identical decisions and cache
         additions to the snapshotted one fed the same queries: cache rows,
         fitted model parameters and sketch markers all round-trip exactly.
@@ -1159,9 +874,6 @@ class KrigingEstimator:
             "interpolator": state["interpolator"],
             "neighbor_index": state["neighbor_index"],
             "n_jobs": state["n_jobs"],
-            "backend": state["backend"],
-            "stacking": state.get("stacking", True),
-            "shm": state.get("shm"),
             "factor_cache": state["factor_cache"],
         }
         kwargs.update(overrides)

@@ -13,36 +13,25 @@ completeness and for the ablation benches.
 
 Solve dispatch
 --------------
-:func:`ordinary_kriging_grouped` is the batch engine's solve layer.  Besides
-the thread/process pool fan-out it supports two zero-copy/batching levers:
-
-* ``stacking=True`` bins same-size bordered systems and factorizes each bin
-  as **one** batched ``numpy.linalg.solve`` call over a 3-D stack (LAPACK
-  runs the same per-matrix routine, so results stay inside the ~1e-9
-  equivalence envelope, and the per-call Python/LAPACK dispatch overhead is
-  paid once per bin instead of once per group).  Serial, thread and process
-  backends all route through the same binning, so results are bit-identical
-  across ``n_jobs`` and backends for a fixed ``stacking`` setting.  A slice
-  whose residual check fails falls back to the per-group solver,
-  transparently.  The stack seam (`solve_groups_stacked`) is also where an
-  optional torch/cupy batched-Cholesky backend can plug in later.
-* :func:`ordinary_kriging_grouped_shm` is the shared-memory process path:
-  support *row indices* and query coordinates travel through a
-  :class:`~repro.core.shm.ShmArena` instead of per-group pickles — see
-  :mod:`repro.core.shm`.
+:func:`ordinary_kriging_grouped` is the batch engine's solve layer.  It bins
+same-size bordered systems and factorizes each bin as **one** batched
+``numpy.linalg.solve`` call over a 3-D stack (LAPACK runs the same
+per-matrix routine, so results stay inside the ~1e-9 equivalence envelope of
+a per-group solve, and the per-call Python/LAPACK dispatch overhead is paid
+once per bin instead of once per group).  Serial and thread-pool runs route
+through the same binning, so results are bit-identical across ``n_jobs``.
+A slice whose residual check fails falls back to the per-group solver,
+transparently.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from itertools import count
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -52,14 +41,6 @@ from repro.core.distances import (
     cross_distances,
     distances_to,
     pairwise_distances,
-)
-from repro.core.shm import (
-    CacheSpec,
-    FlushSpec,
-    ShmArena,
-    ShmAttachError,
-    attach_cache,
-    attach_flush,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -71,32 +52,15 @@ __all__ = [
     "ordinary_kriging",
     "ordinary_kriging_batch",
     "ordinary_kriging_grouped",
-    "ordinary_kriging_grouped_shm",
     "solve_groups_stacked",
     "simple_kriging",
     "resolve_n_jobs",
-    "resolve_backend",
-    "make_model_ref",
-    "SOLVE_BACKENDS",
 ]
 
 Variogram = Callable[[np.ndarray], np.ndarray]
 
 KrigingGroup = tuple[np.ndarray, np.ndarray, np.ndarray]
 """One shared-support solve: ``(support_points, support_values, queries)``."""
-
-SOLVE_BACKENDS = ("thread", "process")
-"""Executors :func:`ordinary_kriging_grouped` can spread groups over."""
-
-
-def resolve_backend(backend: str) -> str:
-    """Validate a grouped-solve ``backend`` knob."""
-    if backend not in SOLVE_BACKENDS:
-        raise ValueError(
-            f"backend must be one of {SOLVE_BACKENDS}, got {backend!r}"
-        )
-    return backend
-
 
 def resolve_n_jobs(n_jobs: int | None) -> int:
     """Normalize an ``n_jobs`` knob to a concrete worker count.
@@ -120,9 +84,8 @@ class SolvePhases:
     *assembly* — distance/variogram kernels and system construction;
     *factorize* — fresh LAPACK factorizations (``gesv`` / batched solve);
     *backsolve* — cached-factor triangular solves plus per-query weight,
-    estimate and variance extraction.  Process workers accumulate locally
-    and return :meth:`totals` with each chunk; the parent :meth:`merge`\\ s
-    them, so the split stays exact across backends.
+    estimate and variance extraction.  Thread-pool workers add to one
+    shared accumulator, so the split stays exact for every ``n_jobs``.
     """
 
     __slots__ = ("assembly", "factorize", "backsolve", "_lock")
@@ -147,9 +110,6 @@ class SolvePhases:
     def totals(self) -> tuple[float, float, float]:
         with self._lock:
             return (self.assembly, self.factorize, self.backsolve)
-
-    def merge(self, totals: tuple[float, float, float]) -> None:
-        self.add(*totals)
 
 
 @dataclass(frozen=True)
@@ -500,10 +460,9 @@ def ordinary_kriging_batch(
 def _size_bins(sizes: Sequence[int]) -> list[list[int]]:
     """Group indices binned by raw support size, in first-encounter order.
 
-    The one binning used by every backend (serial runs it inside
-    :func:`solve_groups_stacked`, thread/process dispatch bins in the parent
-    and ships whole bins), so bin composition — and with it every stacked
-    slice's arithmetic — is independent of ``n_jobs`` and backend.
+    :func:`ordinary_kriging_grouped` solves whole bins, serially or one per
+    thread task, so bin composition — and with it every stacked slice's
+    arithmetic — is independent of ``n_jobs``.
     """
     bins: "OrderedDict[int, list[int]]" = OrderedDict()
     for idx, size in enumerate(sizes):
@@ -575,7 +534,7 @@ def _solve_stack(
             if phases is not None:
                 phases.add(backsolve=time.perf_counter() - t3)
         else:
-            # Recompute this slice exactly as the unstacked path would
+            # Recompute this slice exactly as the per-group solver would
             # (LU-with-residual-check, then least squares).
             t3 = time.perf_counter()
             solution = _solve(systems[slot], rhs[slot, :, : len(prep.pending)])
@@ -600,9 +559,7 @@ def solve_groups_stacked(
     Per-group semantics (dedup, exact hits, residual checks, factor reuse)
     are identical to :func:`ordinary_kriging_batch` — groups with a usable
     cached factor take the factor path per group; the rest are binned by
-    support size and each bin is factorized as one 3-D batched solve.  This
-    is the stacking seam an optional torch/cupy batched-Cholesky backend
-    can reuse.
+    support size and each bin is factorized as one 3-D batched solve.
     """
     results: list[list[KrigingResult] | None] = [None] * len(groups)
     stacks: "OrderedDict[int, list[tuple[int, _PreparedGroup]]]" = OrderedDict()
@@ -631,131 +588,6 @@ def solve_groups_stacked(
     return results  # type: ignore[return-value]
 
 
-def _solve_group_chunk(
-    chunk: list[KrigingGroup],
-    variogram: Variogram,
-    metric: DistanceMetric | str,
-    stacking: bool = False,
-) -> tuple[list[list[KrigingResult]], tuple[float, float, float]]:
-    """Solve a chunk of groups (module-level: picklable, so the process
-    backend can ship it to workers).  Returns the per-group results plus the
-    chunk's solve-phase totals for the parent to merge."""
-    phases = SolvePhases()
-    if stacking:
-        results = solve_groups_stacked(chunk, variogram, metric=metric, phases=phases)
-    else:
-        results = [
-            ordinary_kriging_batch(
-                points, values, queries, variogram, metric=metric, phases=phases
-            )
-            for points, values, queries in chunk
-        ]
-    return results, phases.totals()
-
-
-# ---------------------------------------------------------------------------
-# Process-backend model shipping: fit-generation keyed worker cache
-# ---------------------------------------------------------------------------
-_MODEL_KEYS = count(1)
-"""Parent-side fit-generation counter: every (re)fitted variogram shipped to
-process workers gets a fresh key, so worker caches can never serve a stale
-model."""
-
-#: Worker-side cache of unpickled variogram models, keyed by fit generation.
-#: Bounded so long-lived pools shared between estimators stay small.
-_WORKER_MODELS: OrderedDict[int, Variogram] = OrderedDict()
-_WORKER_MODEL_LIMIT = 8
-
-
-def make_model_ref(variogram: Variogram) -> tuple[int, bytes]:
-    """Pickle ``variogram`` once and tag it with a fresh fit-generation key.
-
-    Callers (the estimator) memoize the result per fitted model, so across
-    the hundreds of flushes between two refits the model is pickled exactly
-    once; workers unpickle it once per generation
-    (:func:`_resolve_model_ref`) and reuse the cached object afterwards.
-    The raw ``bytes`` blob still rides along each task — copying bytes is a
-    memcpy, versus re-walking the model's object graph per chunk.
-    """
-    return next(_MODEL_KEYS), pickle.dumps(variogram)
-
-
-def _resolve_model_ref(model_key: int, blob: bytes) -> Variogram:
-    """Worker-side lookup: unpickle on first sight of a generation key."""
-    model = _WORKER_MODELS.get(model_key)
-    if model is None:
-        model = pickle.loads(blob)
-        _WORKER_MODELS[model_key] = model
-        while len(_WORKER_MODELS) > _WORKER_MODEL_LIMIT:
-            _WORKER_MODELS.popitem(last=False)
-    else:
-        _WORKER_MODELS.move_to_end(model_key)
-    return model
-
-
-def _solve_group_chunk_ref(
-    chunk: list[KrigingGroup],
-    model_key: int,
-    blob: bytes,
-    metric: DistanceMetric | str,
-    stacking: bool = False,
-) -> tuple[list[list[KrigingResult]], tuple[float, float, float]]:
-    """Chunk solver taking the variogram by fit-generation reference."""
-    return _solve_group_chunk(
-        chunk, _resolve_model_ref(model_key, blob), metric, stacking=stacking
-    )
-
-
-ShmGroupDesc = tuple[int, int, int, int]
-"""Worker-side group addressing: ``(rows_offset, n_rows, query_offset,
-n_queries)`` into the flush segment's concatenated arrays."""
-
-
-def _solve_group_chunk_shm(
-    descs: list[ShmGroupDesc],
-    cache: CacheSpec,
-    flush: FlushSpec,
-    metric: DistanceMetric | str,
-    stacking: bool = False,
-    model_key: int | None = None,
-    blob: bytes | None = None,
-    variogram: Variogram | None = None,
-) -> tuple[list[list[KrigingResult]], tuple[float, float, float]]:
-    """Shared-memory chunk solver: groups arrive as index ranges, not arrays.
-
-    Attaches the published cache and flush segments (memoized per segment
-    generation), gathers each group's support rows locally and runs the
-    ordinary chunk solver.  Raises :class:`~repro.core.shm.ShmAttachError`
-    — picklable, so the parent sees a structured failure and falls back to
-    the pickled path — when a segment cannot be mapped.
-    """
-    if variogram is None:
-        variogram = _resolve_model_ref(model_key, blob)
-    cache_points, cache_values = attach_cache(cache)
-    all_rows, all_queries = attach_flush(flush)
-    chunk: list[KrigingGroup] = []
-    for rows_off, n_rows, q_off, n_queries in descs:
-        rows = all_rows[rows_off : rows_off + n_rows]
-        chunk.append(
-            (
-                cache_points[rows],  # fancy index: worker-local copy
-                cache_values[rows],
-                all_queries[q_off : q_off + n_queries],
-            )
-        )
-    return _solve_group_chunk(chunk, variogram, metric, stacking=stacking)
-
-
-def _contiguous_group(group: KrigingGroup) -> KrigingGroup:
-    """Copy a group's arrays into contiguous buffers for cheap pickling."""
-    points, values, queries = group
-    return (
-        np.ascontiguousarray(points),
-        np.ascontiguousarray(values),
-        np.ascontiguousarray(queries),
-    )
-
-
 def _scatter(
     bins: list[list[int]], parts: Sequence[list[list[KrigingResult]]], total: int
 ) -> list[list[KrigingResult]]:
@@ -774,38 +606,27 @@ def ordinary_kriging_grouped(
     metric: DistanceMetric | str = DistanceMetric.L1,
     n_jobs: int | None = 1,
     executor: Executor | None = None,
-    backend: str = "thread",
     factors: "Sequence[GammaFactor | None] | None" = None,
-    model_ref: tuple[int, bytes] | None = None,
-    stacking: bool = False,
     phases: SolvePhases | None = None,
 ) -> list[list[KrigingResult]]:
     """Solve many independent shared-support kriging groups, optionally in
     parallel.
 
     Each group is a ``(support_points, support_values, queries)`` triple
-    handed to :func:`ordinary_kriging_batch`; groups share nothing, so they
-    parallelize embarrassingly.  With ``n_jobs > 1`` the groups are split
-    into contiguous chunks solved on a ``concurrent.futures`` pool.
+    with the semantics of :func:`ordinary_kriging_batch`.  Groups are binned
+    by support size and each bin is solved by :func:`solve_groups_stacked`
+    (same-size systems factorized as one batched LAPACK call), serially or,
+    with ``n_jobs > 1``, one bin per thread-pool task: the support
+    arrays are shared zero-copy and the heavy steps (LAPACK factorizations,
+    BLAS back-substitutions, the numpy distance/variogram kernels) release
+    the GIL.
 
-    The default ``backend="thread"`` shares the support arrays zero-copy and
-    relies on the heavy steps (LAPACK factorizations, BLAS
-    back-substitutions, the numpy distance/variogram kernels) releasing the
-    GIL.  ``backend="process"`` ships each chunk to a
-    ``ProcessPoolExecutor`` as contiguous pickled arrays — worth it when the
-    workload is dominated by the GIL-holding Python-level group assembly
-    (many small groups) rather than the solves; the variogram callable must
-    then be picklable (every fitted model is).  (The estimator's
-    shared-memory path, :func:`ordinary_kriging_grouped_shm`, removes the
-    pickled-array tax when the supports live in a published cache.)
-
-    Results are **deterministic and identical** to the sequential loop
-    regardless of ``n_jobs`` or ``backend``: every group's arithmetic happens
-    on a single worker in a fixed order, so scheduling cannot change a
-    single bit of the output — parallelism is purely a wall-clock knob.
-    With ``stacking=True`` the same holds (bins are computed identically on
-    every backend); stacking on-vs-off stays within the engine's ~1e-9
-    equivalence envelope.
+    Results are **deterministic and identical** for every ``n_jobs``: bins
+    are computed before dispatch and every bin's arithmetic happens on a
+    single worker in a fixed order, so scheduling cannot change a single
+    bit of the output — parallelism is purely a wall-clock knob.  Against
+    a per-group :func:`ordinary_kriging_batch` loop the results stay within
+    the engine's ~1e-9 equivalence envelope.
 
     Parameters
     ----------
@@ -814,275 +635,52 @@ def ordinary_kriging_grouped(
         :func:`ordinary_kriging_batch`.
     variogram, metric:
         As in :func:`ordinary_kriging`.  The variogram callable must be
-        thread-safe (the fitted models are pure array functions) and, for
-        the process backend, picklable.
+        thread-safe (the fitted models are pure array functions).
     n_jobs:
         Workers: ``1``/``None`` sequential, ``-1`` one per CPU.
     executor:
-        Optional pre-built pool matching ``backend`` to run on.  Callers
-        issuing many grouped solves (the batch engine flushes before every
-        simulation) pass a long-lived pool so each flush does not pay
-        executor spawn/join; without one, a temporary pool is created per
-        call.
-    backend:
-        ``"thread"`` (default) or ``"process"`` — see above.
+        Optional pre-built thread pool to run on.  Callers issuing many
+        grouped solves (the batch engine flushes before every simulation)
+        pass a long-lived pool so each flush does not pay executor
+        spawn/join; without one, a temporary pool is created per call.
     factors:
         Optional per-group cached factorizations, aligned with ``groups``
-        (``None`` entries solve fresh).  Thread backend only: factors hold
-        live references into the reuse layer's LRU and are not shipped
-        across process boundaries.
-    model_ref:
-        Optional :func:`make_model_ref` result for ``variogram`` (process
-        backend only).  Workers then resolve the model through a
-        fit-generation keyed cache instead of unpickling it per chunk —
-        callers memoize the ref per fitted model, so the variogram is
-        pickled once per (re)fit rather than once per flush.  Purely a
-        dispatch-overhead knob: the resolved model is the same object
-        either way, so results are bit-identical.
-    stacking:
-        Route groups through :func:`solve_groups_stacked`: same-size
-        systems are factorized as one batched LAPACK call per bin.  Bins
-        are computed before dispatch, so the setting is bit-identical
-        across ``n_jobs`` and backends.
+        (``None`` entries solve fresh).
     phases:
-        Optional :class:`SolvePhases` accumulator; process workers return
-        their per-chunk totals and the parent merges them here.
+        Optional :class:`SolvePhases` accumulator.
 
     Returns
     -------
     list[list[KrigingResult]]
         Per-group result lists, in group order.
     """
-    backend = resolve_backend(backend)
-    if factors is not None and backend == "process":
-        raise ValueError("cached factors cannot be reused on the process backend")
     if factors is not None and len(factors) != len(groups):
         raise ValueError(
             f"factors length {len(factors)} != groups length {len(groups)}"
         )
     workers = min(resolve_n_jobs(n_jobs), len(groups))
+    # One task per same-size bin: the bin *is* the batched-solve unit, and
+    # solving it whole keeps stacked arithmetic independent of the worker
+    # count.
+    bins = _size_bins([np.shape(g[0])[0] for g in groups])
 
-    def solve(index: int, group: KrigingGroup) -> list[KrigingResult]:
-        points, values, queries = group
-        return ordinary_kriging_batch(
-            points,
-            values,
-            queries,
+    def run_bin(bin_indices: list[int]) -> list[list[KrigingResult]]:
+        return solve_groups_stacked(
+            [groups[j] for j in bin_indices],
             variogram,
             metric=metric,
-            factor=factors[index] if factors is not None else None,
+            factors=[factors[j] for j in bin_indices] if factors is not None else None,
             phases=phases,
         )
 
-    if workers <= 1 or len(groups) <= 1:
-        if stacking:
-            return solve_groups_stacked(
-                groups, variogram, metric=metric, factors=factors, phases=phases
-            )
-        return [solve(index, group) for index, group in enumerate(groups)]
-
-    if stacking:
-        # One task per same-size bin: the bin *is* the batched-solve unit,
-        # and shipping it whole keeps stacked arithmetic independent of the
-        # worker count.
-        bins = _size_bins([np.shape(g[0])[0] for g in groups])
-        if backend == "process":
-            chunks = [[_contiguous_group(groups[j]) for j in b] for b in bins]
-            if model_ref is not None:
-                key, blob = model_ref
-                task = partial(
-                    _solve_group_chunk_ref,
-                    model_key=key,
-                    blob=blob,
-                    metric=metric,
-                    stacking=True,
-                )
-            else:
-                task = partial(
-                    _solve_group_chunk,
-                    variogram=variogram,
-                    metric=metric,
-                    stacking=True,
-                )
-
-            def run_process_stacked(pool: Executor) -> list[list[KrigingResult]]:
-                parts = []
-                for results_part, totals in pool.map(task, chunks):
-                    if phases is not None:
-                        phases.merge(totals)
-                    parts.append(results_part)
-                return _scatter(bins, parts, len(groups))
-
-            if executor is not None:
-                return run_process_stacked(executor)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return run_process_stacked(pool)
-
-        def run_bin(bin_indices: list[int]) -> list[list[KrigingResult]]:
-            return solve_groups_stacked(
-                [groups[j] for j in bin_indices],
-                variogram,
-                metric=metric,
-                factors=(
-                    [factors[j] for j in bin_indices]
-                    if factors is not None
-                    else None
-                ),
-                phases=phases,
-            )
-
-        def run_thread_stacked(pool: Executor) -> list[list[KrigingResult]]:
-            return _scatter(bins, list(pool.map(run_bin, bins)), len(groups))
-
-        if executor is not None:
-            return run_thread_stacked(executor)
+    if workers <= 1:
+        parts = [run_bin(b) for b in bins]
+    elif executor is not None:
+        parts = list(executor.map(run_bin, bins))
+    else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return run_thread_stacked(pool)
-
-    # Chunk so each task amortizes pool dispatch over several (often tiny)
-    # solves; map() preserves submission order.
-    chunk = max(1, (len(groups) + 4 * workers - 1) // (4 * workers))
-    starts = range(0, len(groups), chunk)
-
-    if backend == "process":
-        chunks = [
-            [_contiguous_group(g) for g in groups[i : i + chunk]] for i in starts
-        ]
-        if model_ref is not None:
-            key, blob = model_ref
-            task = partial(
-                _solve_group_chunk_ref, model_key=key, blob=blob, metric=metric
-            )
-        else:
-            task = partial(_solve_group_chunk, variogram=variogram, metric=metric)
-
-        def run_process(pool: Executor) -> list[list[KrigingResult]]:
-            out: list[list[KrigingResult]] = []
-            for results_part, totals in pool.map(task, chunks):
-                if phases is not None:
-                    phases.merge(totals)
-                out.extend(results_part)
-            return out
-
-        if executor is not None:
-            return run_process(executor)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return run_process(pool)
-
-    indexed = [
-        [(j, groups[j]) for j in range(i, min(i + chunk, len(groups)))] for i in starts
-    ]
-
-    def run(pool: Executor) -> list[list[KrigingResult]]:
-        solved = pool.map(lambda part: [solve(j, g) for j, g in part], indexed)
-        return [results for part in solved for results in part]
-
-    if executor is not None:
-        return run(executor)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return run(pool)
-
-
-def ordinary_kriging_grouped_shm(
-    arena: ShmArena,
-    points: np.ndarray,
-    values: np.ndarray,
-    supports: Sequence[np.ndarray],
-    queries_list: Sequence[np.ndarray],
-    variogram: Variogram,
-    *,
-    metric: DistanceMetric | str = DistanceMetric.L1,
-    n_jobs: int | None = 1,
-    executor: Executor | None = None,
-    model_ref: tuple[int, bytes] | None = None,
-    stacking: bool = False,
-    phases: SolvePhases | None = None,
-) -> list[list[KrigingResult]]:
-    """Grouped solve over the shared-memory process path.
-
-    The groups are given *by reference*: ``supports[i]`` holds row indices
-    into the published cache arrays (``points``/``values``) and
-    ``queries_list[i]`` the group's query coordinates.  The arena publishes
-    the cache mirror incrementally plus one flush segment of concatenated
-    rows/queries; workers attach and gather locally, so the per-task pickle
-    payload is a handful of offsets per group instead of the group arrays.
-
-    Results are bit-identical to the pickled process path (and therefore to
-    thread/serial): workers rebuild exactly the ``points[rows]`` gathers the
-    parent would have shipped.  Raises
-    :class:`~repro.core.shm.ShmAttachError` when a worker cannot map a
-    segment — the estimator catches it, disables shm for its lifetime and
-    retries the flush over the pickled path.
-
-    With one worker (or one group) no segment is touched: the call
-    materializes the groups and delegates to the serial path.
-    """
-    if len(supports) != len(queries_list):
-        raise ValueError(
-            f"supports length {len(supports)} != queries length {len(queries_list)}"
-        )
-    workers = min(resolve_n_jobs(n_jobs), len(supports))
-    if workers <= 1 or len(supports) <= 1:
-        groups = [
-            (points[rows], values[rows], queries)
-            for rows, queries in zip(supports, queries_list)
-        ]
-        return ordinary_kriging_grouped(
-            groups,
-            variogram,
-            metric=metric,
-            n_jobs=1,
-            stacking=stacking,
-            phases=phases,
-        )
-
-    rows_concat = np.concatenate([np.asarray(s, dtype=np.int64) for s in supports])
-    queries_concat = np.vstack(queries_list)
-    cache_spec = arena.publish_cache(points, values)
-    flush_spec = arena.publish_flush(rows_concat, queries_concat)
-
-    descs: list[ShmGroupDesc] = []
-    rows_off = 0
-    q_off = 0
-    for rows, queries in zip(supports, queries_list):
-        descs.append((rows_off, len(rows), q_off, len(queries)))
-        rows_off += len(rows)
-        q_off += len(queries)
-
-    if stacking:
-        bins = _size_bins([len(rows) for rows in supports])
-    else:
-        chunk = max(1, (len(descs) + 4 * workers - 1) // (4 * workers))
-        bins = [
-            list(range(i, min(i + chunk, len(descs))))
-            for i in range(0, len(descs), chunk)
-        ]
-    chunks = [[descs[j] for j in b] for b in bins]
-
-    kwargs: dict = {
-        "cache": cache_spec,
-        "flush": flush_spec,
-        "metric": metric,
-        "stacking": stacking,
-    }
-    if model_ref is not None:
-        kwargs["model_key"], kwargs["blob"] = model_ref
-    else:
-        kwargs["variogram"] = variogram
-    task = partial(_solve_group_chunk_shm, **kwargs)
-
-    def run_shm(pool: Executor) -> list[list[KrigingResult]]:
-        parts = []
-        for results_part, totals in pool.map(task, chunks):
-            if phases is not None:
-                phases.merge(totals)
-            parts.append(results_part)
-        return _scatter(bins, parts, len(descs))
-
-    if executor is not None:
-        return run_shm(executor)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return run_shm(pool)
+            parts = list(pool.map(run_bin, bins))
+    return _scatter(bins, parts, len(groups))
 
 
 def simple_kriging(

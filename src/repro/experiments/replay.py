@@ -141,7 +141,6 @@ def replay_trajectory(
     refit_interval: int | None = 1,
     interpolator: str = "ordinary",
     n_jobs: int | None = 1,
-    backend: str = "thread",
     factor_cache: bool = True,
 ) -> ReplayStats:
     """Replay a recorded trajectory under the kriging policy.
@@ -166,11 +165,6 @@ def replay_trajectory(
     n_jobs:
         Workers for the batch engine's shared-support group solves
         (``-1``: one per CPU).  Results are identical for every setting.
-    backend:
-        ``"thread"`` (default) or ``"process"`` executor for the group
-        solves.  The process backend bypasses the factor cache, so with
-        ``factor_cache=True`` the two backends may differ within the
-        engine's ~1e-9 envelope (bit-equal with the cache disabled).
     factor_cache:
         Enable the factorization-reuse layer (default on); the resulting
         :attr:`ReplayStats.factor_reuse` counters show how often it paid.
@@ -212,15 +206,14 @@ def replay_trajectory(
         refit_interval=refit_interval,
         interpolator=interpolator,
         n_jobs=n_jobs,
-        backend=backend,
         factor_cache=factor_cache,
     )
 
     # The whole trajectory goes through the batch engine: runs of
     # interpolations between simulations share one kriging factorization
     # (identical outcomes to a per-query loop, far less work).  The
-    # estimator is closed afterwards so a process-backend pool never
-    # outlives the replay.
+    # estimator is closed afterwards so its solve pool never outlives the
+    # replay.
     with estimator:
         outcomes = estimator.evaluate_batch(configs)
     errors = [
@@ -264,7 +257,6 @@ def replay_trace(
     refit_interval: int | None = 1,
     interpolator: str = "ordinary",
     n_jobs: int | None = 1,
-    backend: str = "thread",
     factor_cache: bool = True,
 ) -> ReplayStats:
     """Convenience wrapper: replay an :class:`OptimizationTrace` directly."""
@@ -282,6 +274,5 @@ def replay_trace(
         refit_interval=refit_interval,
         interpolator=interpolator,
         n_jobs=n_jobs,
-        backend=backend,
         factor_cache=factor_cache,
     )

@@ -66,15 +66,13 @@ def rows_for_setup(
     nn_min: int = 1,
     variogram: object = "linear",
     n_jobs: int | None = 1,
-    backend: str = "thread",
 ) -> list[Table1Row]:
     """Replay one benchmark's trajectory for each distance in the sweep.
 
     Trajectory recording (the expensive optimizer run with exhaustive
     simulation) happens once; each distance is a cheap replay.  ``n_jobs``
     parallelizes each replay's shared-support kriging solves (``-1``: one
-    worker per CPU) on a thread or process pool (``backend``); rows are
-    identical for every setting.
+    worker per CPU) on a thread pool; rows are identical for every setting.
     """
     trace = setup.record_trajectory()
     rows = []
@@ -87,7 +85,6 @@ def rows_for_setup(
             nn_min=nn_min,
             variogram=variogram,
             n_jobs=n_jobs,
-            backend=backend,
         )
         rows.append(
             Table1Row.from_stats(
@@ -107,7 +104,6 @@ def table1_rows(
     nn_min: int = 1,
     variogram: object = "linear",
     n_jobs: int | None = 1,
-    backend: str = "thread",
 ) -> list[Table1Row]:
     """Reproduce Table I over the requested benchmarks.
 
@@ -125,7 +121,6 @@ def table1_rows(
                 nn_min=nn_min,
                 variogram=variogram,
                 n_jobs=n_jobs,
-                backend=backend,
-            )
+                )
         )
     return rows

@@ -16,7 +16,7 @@ representative support size.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,7 +183,6 @@ def measure_grouped_kriging_time(
     num_variables: int = 10,
     repetitions: int = 5,
     n_jobs: int | None = 1,
-    backend: str = "thread",
     seed: int = 0,
 ) -> float:
     """Mean wall-clock seconds *per query* of a grouped, optionally parallel
@@ -192,9 +191,8 @@ def measure_grouped_kriging_time(
     Measures :func:`~repro.core.kriging.ordinary_kriging_grouped` over
     ``n_groups`` independent shared-support groups — the shape of work the
     batch engine's flush produces on a sweep that visits many neighbourhoods
-    — so the ``n_jobs`` scaling of the group-parallel path (on the thread or
-    process ``backend``) can be compared against the sequential grouped cost
-    (``n_jobs=1``).
+    — so the ``n_jobs`` scaling of the group-parallel thread path can be
+    compared against the sequential grouped cost (``n_jobs=1``).
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
@@ -211,28 +209,15 @@ def measure_grouped_kriging_time(
 
     # One long-lived pool across warm-up and repetitions (as the estimator
     # keeps one per instance): without it every call would rebuild the
-    # executor and a process-backend measurement would mostly time pool
-    # startup rather than the solves.
-    workers = resolve_n_jobs(n_jobs)
-    executor: Executor | None = None
-    if workers > 1:
-        if backend == "process":
-            executor = ProcessPoolExecutor(max_workers=workers)
-        else:
-            executor = ThreadPoolExecutor(max_workers=workers)
-    try:
-        ordinary_kriging_grouped(
-            groups, variogram, n_jobs=n_jobs, backend=backend, executor=executor
-        )
+    # executor and the measurement would partly time pool startup.
+    with ThreadPoolExecutor(max_workers=resolve_n_jobs(n_jobs)) as executor:
+        ordinary_kriging_grouped(groups, variogram, n_jobs=n_jobs, executor=executor)
         start = time.perf_counter()
         for _ in range(repetitions):
             ordinary_kriging_grouped(
-                groups, variogram, n_jobs=n_jobs, backend=backend, executor=executor
+                groups, variogram, n_jobs=n_jobs, executor=executor
             )
         return (time.perf_counter() - start) / (repetitions * n_groups * n_queries)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
 
 
 def measure_simulation_time(simulate, configuration, *, repetitions: int = 3) -> float:

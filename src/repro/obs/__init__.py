@@ -15,9 +15,8 @@ Three cooperating pieces, all stdlib-only:
 ``metrics``
     A unified counter/gauge/histogram registry (histograms ride the
     existing P² :class:`~repro.utils.quantiles.QuantileSketch`).  The
-    previously scattered counters — deadline misses, pool failures,
-    breaker states, batcher stats, factor-cache reuse, shm attach
-    failures — register here, and both the ``metrics`` verb and the
+    previously scattered counters — deadline misses, breaker states,
+    batcher stats, factor-cache reuse — register here, and both the ``metrics`` verb and the
     optional ``--metrics-port`` HTTP listener render the same snapshot
     (JSON families, or Prometheus text exposition).
 ``logs``

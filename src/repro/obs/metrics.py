@@ -4,8 +4,8 @@ One :class:`MetricsRegistry` per server instance (worker service or cluster
 router) replaces the scattered per-verb stat dicts.  Three primitive kinds:
 
 ``counter``
-    Monotone float, ``inc()`` only — deadline misses, pool failures,
-    breaker fast-fails, shm attach failures.
+    Monotone float, ``inc()`` only — deadline misses, breaker
+    fast-fails.
 ``gauge``
     Point-in-time float, ``set()`` — breaker state, inflight requests.
 ``histogram``

@@ -45,7 +45,6 @@ import signal
 import time
 from typing import Awaitable, Callable
 
-from repro.core import estimator as estimator_mod
 from repro.core.estimator import KrigingEstimator
 from repro.core.models import variogram_from_state
 from repro.obs.httpexp import start_metrics_http
@@ -70,7 +69,6 @@ ESTIMATOR_KEYS = (
     "interpolator",
     "neighbor_index",
     "n_jobs",
-    "backend",
     "factor_cache",
 )
 
@@ -422,7 +420,7 @@ class KrigingService(JsonLineServer):
         """Re-register the scattered counters under one roof.
 
         Counters that components already keep (batcher stats, factor-cache
-        stats, estimator pool failures) stay where they are and are read at
+        stats) stay where they are and are read at
         collect time — one source of truth, no double bookkeeping.  Only
         the wait histograms are registry-owned storage, because nothing
         recorded them before.
@@ -440,18 +438,6 @@ class KrigingService(JsonLineServer):
             "repro_deadline_misses_total",
             lambda: float(self.total_deadline_misses()),
             "requests shed because their deadline budget ran out (all sheds)",
-        )
-        m.counter_fn(
-            "repro_pool_failures_total",
-            lambda: float(
-                sum(s.estimator.stats.pool_failures for s in self.sessions.values())
-            ),
-            "BrokenProcessPool recoveries across sessions",
-        )
-        m.counter_fn(
-            "repro_shm_attach_failures_total",
-            lambda: float(estimator_mod.shm_attach_failures()),
-            "shared-memory attach failures that forced the pickled fallback",
         )
         m.counter_fn(
             "repro_batcher_requests_total",

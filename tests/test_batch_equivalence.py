@@ -6,10 +6,10 @@ simulate/interpolate decisions, same final cache contents.  Verified here
 over two real workloads (FIR and SqueezeNet recorded trajectories — one
 minplusone word-length problem, one descent sensitivity problem) plus
 synthetic stress cases (variogram refitting, universal kriging,
-max_neighbors caps).  The performance knobs layered on top — ``n_jobs``,
-``backend`` (thread/process pools) and ``factor_cache`` (factorization
-reuse) — must never change outcomes; each is exercised here against the
-sequential reference.
+max_neighbors caps).  The performance knobs layered on top — ``n_jobs``
+(thread-pool group solves) and ``factor_cache`` (factorization reuse) —
+must never change outcomes; each is exercised here against the sequential
+reference.
 """
 
 import numpy as np
@@ -28,8 +28,8 @@ def _make_pair(simulate, nv, **kwargs):
 
 def assert_equivalent(configs, simulate, nv, **kwargs):
     sequential, batched = _make_pair(simulate, nv, **kwargs)
-    # Context-managed so a process-backend estimator's worker pool never
-    # outlives its test.
+    # Context-managed so a parallel estimator's thread pool never outlives
+    # its test.
     with sequential, batched:
         seq_out = [sequential.evaluate(config) for config in configs]
         bat_out = batched.evaluate_batch(configs)
@@ -129,49 +129,6 @@ def test_workload_equivalence_reuse_on_off(factor_cache):
     assert any(o.interpolated for o in outcomes)
 
 
-def test_workload_process_backend_equivalence():
-    """backend='process' must be decision- and value-identical to the
-    sequential path (groups are shipped to worker processes as contiguous
-    arrays; the fitted variogram models pickle)."""
-    configs, lookup = _workload_configs("fir")
-    outcomes = assert_equivalent(
-        configs,
-        lookup,
-        configs.shape[1],
-        distance=3,
-        nn_min=1,
-        variogram="auto",
-        min_fit_points=4,
-        refit_interval=1,
-        n_jobs=2,
-        backend="process",
-    )
-    assert any(o.interpolated for o in outcomes)
-
-
-def test_process_backend_bitwise_matches_thread_backend():
-    """Same chunking, same per-group arithmetic: the executor kind cannot
-    change a bit of the output."""
-    configs, lookup = _workload_configs("fir")
-    nv = configs.shape[1]
-    kwargs = dict(distance=3, variogram="auto", min_fit_points=4, refit_interval=1)
-    results = {}
-    for backend in ("thread", "process"):
-        with KrigingEstimator(
-            lookup, nv, n_jobs=2, backend=backend, factor_cache=False, **kwargs
-        ) as estimator:
-            results[backend] = estimator.evaluate_batch(configs)
-    assert [o.value for o in results["thread"]] == [o.value for o in results["process"]]
-    assert [o.variance for o in results["thread"]] == [
-        o.variance for o in results["process"]
-    ]
-
-
-def test_invalid_backend_rejected():
-    with pytest.raises(ValueError, match="backend"):
-        KrigingEstimator(_smooth_field, 3, backend="greenlet")
-
-
 @pytest.mark.parametrize("name", ["fir", "squeezenet"])
 def test_parallel_batch_bitwise_matches_sequential_batch(name):
     """Group solves are scheduled, never re-ordered: n_jobs changes nothing,
@@ -242,144 +199,53 @@ def test_batch_empty_and_validation():
         est.evaluate_batch(np.zeros((4, 2)))
 
 
-class TestProcessModelRef:
-    """The worker-side variogram cache (fit-generation keyed) must neither
-    change results nor re-pickle an unchanged model."""
+def test_grouped_rejects_mismatched_factors():
+    from repro.core.kriging import ordinary_kriging_grouped
+    from repro.core.models import LinearVariogram
 
-    def test_ref_memoized_until_model_changes(self):
-        from repro.core.models import ExponentialVariogram, LinearVariogram
-
-        est = KrigingEstimator(
-            _smooth_field, 3, n_jobs=2, backend="process", variogram="linear"
+    with pytest.raises(ValueError, match="factors length"):
+        ordinary_kriging_grouped(
+            [(np.zeros((2, 2)), np.zeros(2), np.zeros((1, 2)))],
+            LinearVariogram(1.0),
+            factors=[None, None],
         )
-        model = LinearVariogram(1.0)
-        ref_a = est._process_model_ref(model)
-        ref_b = est._process_model_ref(model)
-        assert ref_a is ref_b  # pickled once per fitted model
-        ref_c = est._process_model_ref(ExponentialVariogram(sill=1.0, range_=2.0))
-        assert ref_c is not ref_a
-        assert ref_c[0] > ref_a[0]  # fit generations are monotonic
-
-    def test_thread_backend_never_builds_a_ref(self):
-        est = KrigingEstimator(_smooth_field, 3, n_jobs=2, backend="thread")
-        assert est._process_model_ref(est.variogram) is None
-
-    def test_worker_cache_resolves_once_and_is_bounded(self):
-        import pickle
-
-        from repro.core import kriging
-        from repro.core.models import LinearVariogram
-
-        kriging._WORKER_MODELS.clear()
-        key, blob = kriging.make_model_ref(LinearVariogram(2.0))
-        first = kriging._resolve_model_ref(key, blob)
-        second = kriging._resolve_model_ref(key, blob)
-        assert second is first  # unpickled once per generation
-        assert first == pickle.loads(blob)
-        for _ in range(2 * kriging._WORKER_MODEL_LIMIT):
-            extra_key, extra_blob = kriging.make_model_ref(LinearVariogram(3.0))
-            kriging._resolve_model_ref(extra_key, extra_blob)
-        assert len(kriging._WORKER_MODELS) <= kriging._WORKER_MODEL_LIMIT
-
-    def test_grouped_solve_with_ref_bitwise(self):
-        """model_ref is a dispatch knob only: grouped process solves return
-        bit-identical results with and without it."""
-        from repro.core.kriging import make_model_ref, ordinary_kriging_grouped
-        from repro.core.models import ExponentialVariogram
-
-        rng = np.random.default_rng(21)
-        model = ExponentialVariogram(sill=9.0, range_=5.0)
-        groups = []
-        for _ in range(6):
-            pts = rng.uniform(0.0, 8.0, size=(12, 3))
-            vals = pts.sum(axis=1)
-            queries = rng.uniform(0.0, 8.0, size=(4, 3))
-            groups.append((pts, vals, queries))
-        plain = ordinary_kriging_grouped(groups, model, n_jobs=2, backend="process")
-        via_ref = ordinary_kriging_grouped(
-            groups, model, n_jobs=2, backend="process", model_ref=make_model_ref(model)
-        )
-        assert [
-            (r.estimate, r.variance) for results in plain for r in results
-        ] == [(r.estimate, r.variance) for results in via_ref for r in results]
-
-    def test_ref_rejected_for_mismatched_factors(self):
-        from repro.core.kriging import ordinary_kriging_grouped
-        from repro.core.models import LinearVariogram
-
-        with pytest.raises(ValueError, match="factors length"):
-            ordinary_kriging_grouped(
-                [(np.zeros((2, 2)), np.zeros(2), np.zeros((1, 2)))],
-                LinearVariogram(1.0),
-                factors=[None, None],
-            )
-
-
-def test_shm_backend_bitwise_matches_pickled_process():
-    """The shared-memory arena is a transport knob only: backend='process'
-    with shm on and off answers bit-identically (workers rebuild the exact
-    points[rows] gathers the pickled path would have shipped)."""
-    from repro.core.shm import shm_available
-
-    if not shm_available():
-        pytest.skip("multiprocessing.shared_memory unavailable")
-    configs, lookup = _workload_configs("fir")
-    nv = configs.shape[1]
-    kwargs = dict(distance=3, variogram="auto", min_fit_points=4, refit_interval=1)
-    results = {}
-    for shm in (True, False):
-        with KrigingEstimator(
-            lookup, nv, n_jobs=2, backend="process", shm=shm, **kwargs
-        ) as estimator:
-            results[shm] = estimator.evaluate_batch(configs)
-            assert estimator._shm_enabled is shm  # never silently degraded
-    assert [o.value for o in results[True]] == [o.value for o in results[False]]
-    assert [o.variance for o in results[True]] == [o.variance for o in results[False]]
-
-
-@pytest.mark.parametrize("shm", [False, True])
-def test_shm_and_stacking_compose_bitwise(shm):
-    """stacking x shm: every combination answers bit-identically to the
-    serial non-stacked reference on the paper workload."""
-    from repro.core.shm import shm_available
-
-    if shm and not shm_available():
-        pytest.skip("multiprocessing.shared_memory unavailable")
-    configs, lookup = _workload_configs("fir")
-    nv = configs.shape[1]
-    kwargs = dict(distance=3, variogram="auto", min_fit_points=4, refit_interval=1)
-    with KrigingEstimator(
-        lookup, nv, n_jobs=1, stacking=False, **kwargs
-    ) as reference:
-        ref = reference.evaluate_batch(configs)
-    with KrigingEstimator(
-        lookup, nv, n_jobs=2, backend="process", shm=shm, stacking=True, **kwargs
-    ) as estimator:
-        out = estimator.evaluate_batch(configs)
-    assert [o.interpolated for o in out] == [o.interpolated for o in ref]
-    assert [o.value for o in out] == [o.value for o in ref]
-    assert [o.variance for o in out] == [o.variance for o in ref]
 
 
 @pytest.mark.parametrize("n_jobs", [1, 3])
-def test_stacking_on_off_equivalence(n_jobs):
-    """Stacked batched factorization is a pure performance knob at the
-    estimator level: decisions and cache contents match the unstacked path
-    bitwise, values bitwise too (same gesv arithmetic per stack slice)."""
+def test_grouped_matches_per_group_reference(n_jobs):
+    """The estimator's grouped (size-binned, stacked) solves against a
+    per-group ``ordinary_kriging_batch`` reference over the same decisions:
+    a twin estimator whose grouped solver is replaced by that loop must make
+    the same simulate/interpolate decisions, cache the same points and
+    answer within 1e-9."""
+    from repro.core import estimator as estimator_module
+    from repro.core.kriging import ordinary_kriging_batch
+
+    def per_group(groups, variogram, *, metric, factors=None, phases=None, **_):
+        return [
+            ordinary_kriging_batch(points, values, queries, variogram, metric=metric)
+            for points, values, queries in groups
+        ]
+
     configs, lookup = _workload_configs("fir")
     nv = configs.shape[1]
-    kwargs = dict(distance=3, variogram="auto", min_fit_points=4, refit_interval=1)
-    results = {}
-    for stacking in (True, False):
-        with KrigingEstimator(
-            lookup, nv, n_jobs=n_jobs, stacking=stacking,
-            factor_cache=False, **kwargs
-        ) as estimator:
-            results[stacking] = estimator.evaluate_batch(configs)
-            cache_points = estimator.cache.points
-        results[(stacking, "cache")] = cache_points
-    assert [o.value for o in results[True]] == [o.value for o in results[False]]
-    assert [o.variance for o in results[True]] == [o.variance for o in results[False]]
-    np.testing.assert_array_equal(
-        results[(True, "cache")], results[(False, "cache")]
+    kwargs = dict(
+        distance=3, variogram="auto", min_fit_points=4, refit_interval=1,
+        factor_cache=False,
     )
+    with KrigingEstimator(lookup, nv, n_jobs=n_jobs, **kwargs) as estimator:
+        out = estimator.evaluate_batch(configs)
+        cache_points = estimator.cache.points.copy()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimator_module, "ordinary_kriging_grouped", per_group)
+        reference = KrigingEstimator(lookup, nv, **kwargs)
+        ref = reference.evaluate_batch(configs)
+    assert any(o.interpolated for o in ref)
+    assert [o.interpolated for o in out] == [o.interpolated for o in ref]
+    np.testing.assert_allclose(
+        [o.value for o in out], [o.value for o in ref], rtol=1e-9, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        [o.variance for o in out], [o.variance for o in ref], rtol=1e-9, atol=1e-12
+    )
+    np.testing.assert_array_equal(cache_points, reference.cache.points)

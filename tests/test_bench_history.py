@@ -41,11 +41,6 @@ def _report(reuse_speedup=3.0, batch_speedup=8.0):
             "reuse_cached_seconds": 7.0 / reuse_speedup,
             "speedup_reuse_vs_fresh": reuse_speedup,
         },
-        "shm": {
-            "pickled_seconds": 0.42,
-            "shm_seconds": 0.30,
-            "speedup_shm_vs_pickled": 1.4,
-        },
         "stacked": {
             "pergroup_seconds": 0.40,
             "stacked_seconds": 0.30,

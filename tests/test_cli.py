@@ -59,21 +59,6 @@ class TestCommands:
         assert "mu_eps=" in out
 
 
-class TestBackendOption:
-    def test_backend_default_thread(self):
-        args = build_parser().parse_args(["replay", "trace.json"])
-        assert args.backend == "thread"
-
-    def test_backend_process_accepted(self):
-        for command in (["replay", "trace.json"], ["table1", "fir"]):
-            args = build_parser().parse_args([*command, "--backend", "process"])
-            assert args.backend == "process"
-
-    def test_backend_unknown_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["replay", "t.json", "--backend", "greenlet"])
-
-
 class TestServiceParser:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])

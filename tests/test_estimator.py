@@ -196,18 +196,17 @@ class TestGuards:
 
 
 class TestLifecycle:
-    """close() must be idempotent and fire on __del__/atexit so abandoned
-    estimators never leak worker processes (the service bugfix)."""
+    """close() must be idempotent and fire on __del__ so abandoned
+    estimators never leak solve threads (the service bugfix)."""
 
     @staticmethod
     def _field(config):
         c = np.asarray(config, dtype=float)
         return float(c.sum())
 
-    def _two_group_estimator(self, backend):
+    def _two_group_estimator(self):
         est = KrigingEstimator(
-            self._field, 2, distance=2.0, variogram="linear",
-            n_jobs=2, backend=backend,
+            self._field, 2, distance=2.0, variogram="linear", n_jobs=2
         )
         # Two far-apart clusters -> two shared-support groups in one flush
         # -> the long-lived pool is created.
@@ -220,7 +219,7 @@ class TestLifecycle:
         return est
 
     def test_close_is_idempotent_and_estimator_stays_usable(self):
-        est = self._two_group_estimator("thread")
+        est = self._two_group_estimator()
         pool = est._executor
         est.close()
         est.close()  # second close is a no-op
@@ -234,28 +233,11 @@ class TestLifecycle:
     def test_del_releases_the_pool(self):
         import gc
 
-        est = self._two_group_estimator("thread")
+        est = self._two_group_estimator()
         pool = est._executor
         del est
         gc.collect()
         assert pool._shutdown
-
-    def test_process_pool_released_on_close(self):
-        est = self._two_group_estimator("process")
-        pool = est._executor
-        est.close()
-        assert pool._shutdown_thread
-        assert not pool._processes
-
-    def test_atexit_registry_tracks_live_pools(self):
-        from repro.core import estimator as estimator_module
-
-        est = self._two_group_estimator("thread")
-        assert est in estimator_module._LIVE_ESTIMATORS
-        est.close()
-        assert est not in estimator_module._LIVE_ESTIMATORS
-        # The atexit sweep tolerates already-closed estimators.
-        estimator_module._close_live_estimators()
 
 
 class TestRecordMeasurementAndRefit:
@@ -298,72 +280,6 @@ class TestRecordMeasurementAndRefit:
 
         est = KrigingEstimator(self._field, 2, variogram=fixed)
         assert est.refit_variogram() is fixed
-
-
-class TestPoolFailure:
-    """A BrokenProcessPool mid-flush must map to a structured recovery: the
-    flush completes on the thread backend, the poisoned pool is torn down,
-    the counter ticks, and the next flush rebuilds the pool lazily."""
-
-    @staticmethod
-    def _field(config):
-        return float(np.asarray(config, dtype=float).sum())
-
-    class _PoisonedPool:
-        """Quacks like an executor whose workers all died."""
-
-        def __init__(self):
-            self.shutdown_calls = []
-
-        def map(self, *args, **kwargs):
-            from concurrent.futures.process import BrokenProcessPool
-
-            raise BrokenProcessPool("a child process terminated abruptly")
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            self.shutdown_calls.append((wait, cancel_futures))
-
-    def _seeded(self, **kwargs):
-        est = KrigingEstimator(
-            self._field, 2, distance=2.0, variogram="linear",
-            n_jobs=2, backend="process", shm=False, **kwargs,
-        )
-        for x in range(3):
-            for y in range(3):
-                est.record_measurement([x, y], self._field([x, y]))
-                est.record_measurement(
-                    [x + 50, y + 50], self._field([x + 50, y + 50])
-                )
-        return est
-
-    def test_broken_pool_recovers_on_thread_backend(self):
-        queries = [[0.5, 0.5], [0.6, 0.5], [50.5, 50.5], [50.6, 50.5]]
-        with self._seeded() as est:
-            poisoned = self._PoisonedPool()
-            est._executor = poisoned
-            out = est.evaluate_batch(queries)
-
-            # The flush completed despite the poisoned pool...
-            assert all(o.interpolated for o in out)
-            # ...the event is counted, the pool torn down without waiting...
-            assert est.stats.pool_failures == 1
-            assert poisoned.shutdown_calls == [(False, True)]
-            assert est._executor is None
-
-            # ...and the answers match the serial reference bit for bit.
-            with self._seeded() as twin:
-                twin.n_jobs = 1
-                ref = twin.evaluate_batch(queries)
-            assert [o.value for o in out] == [o.value for o in ref]
-            assert [o.variance for o in out] == [o.variance for o in ref]
-
-            # The next flush rebuilds a real pool lazily.
-            from concurrent.futures import ProcessPoolExecutor
-
-            again = est.evaluate_batch([[0.4, 0.5], [0.7, 0.4], [50.4, 50.5], [50.7, 50.4]])
-            assert all(o.interpolated for o in again)
-            assert isinstance(est._executor, ProcessPoolExecutor)
-            assert est.stats.pool_failures == 1  # no new failure
 
 
 class TestSolvePhaseStats:

@@ -332,17 +332,15 @@ class TestStackedGroupedSolve:
                 assert got.estimate == pytest.approx(ref.estimate, abs=1e-9)
                 assert got.variance == pytest.approx(ref.variance, abs=1e-9)
 
-    @pytest.mark.parametrize("n_jobs,backend", [(1, "thread"), (3, "thread")])
-    def test_stacking_bitwise_across_n_jobs(self, rng, n_jobs, backend):
-        """Bins are computed identically on every backend: n_jobs cannot
-        change a bit of the stacked output."""
+    @pytest.mark.parametrize("n_jobs", [1, 3])
+    def test_stacking_bitwise_across_n_jobs(self, rng, n_jobs):
+        """Bins are computed before dispatch: n_jobs cannot change a bit of
+        the stacked output."""
         from repro.core.kriging import ordinary_kriging_grouped
 
         groups = self._groups(rng, n_groups=12)
-        serial = ordinary_kriging_grouped(groups, VG, n_jobs=1, stacking=True)
-        other = ordinary_kriging_grouped(
-            groups, VG, n_jobs=n_jobs, backend=backend, stacking=True
-        )
+        serial = ordinary_kriging_grouped(groups, VG, n_jobs=1)
+        other = ordinary_kriging_grouped(groups, VG, n_jobs=n_jobs)
         assert self._flat(serial) == self._flat(other)
 
     def test_stacked_handles_exact_hits_and_duplicates(self, rng):

@@ -87,6 +87,24 @@ class TestBasicVerbs:
 
         serve(body)
 
+    def test_removed_backend_key_from_old_clients_ignored(self):
+        """Clients written against the process solve backend still send
+        ``backend``; the session is created on the one remaining path, and
+        the metrics no longer export the removed backend's counters."""
+
+        async def body(client, service, host, port):
+            info = await client.create_session(
+                "old", backend="process", n_jobs=2, **SESSION_KWARGS
+            )
+            assert info["session"] == "old"
+            await client.simulate_many("old", _support().tolist())
+            assert (await client.evaluate("old", [1.5, 2.0, 3.0])).interpolated
+            names = {f["name"] for f in (await client.request("metrics"))["families"]}
+            assert "repro_pool_failures_total" not in names
+            assert "repro_shm_attach_failures_total" not in names
+
+        serve(body)
+
     def test_malformed_json_answered_with_protocol_error(self):
         async def body(client, service, host, port):
             reader, writer = await asyncio.open_connection(host, port)

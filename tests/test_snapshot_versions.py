@@ -148,6 +148,45 @@ class TestPreviousVersion:
         assert state["estimator"]["factor_entries"] is None
         assert _fresh_delta(state["estimator"], queries) > 0  # cold, but works
 
+    def test_state_with_removed_solve_knobs_restores(self, tmp_path):
+        """Snapshots written before the solve path was reduced to one carry
+        ``backend``/``shm``/``stacking`` and ``stats.pool_failures``.  They
+        restore with those keys ignored and then decide exactly as the
+        original estimator does."""
+        est, path, _ = _warm_session(tmp_path)
+        state = est.to_state()
+        for key in ("backend", "shm", "stacking"):
+            assert key not in state
+        assert "pool_failures" not in state["stats"]
+
+        def to_old_format(manifest):
+            manifest["estimator"].update(backend="process", shm=True, stacking=False)
+            manifest["estimator"]["stats"]["pool_failures"] = 2
+            return manifest
+
+        old = _rewrite(path, tmp_path / "old.npz", patch_manifest=to_old_format)
+        old_state = load_snapshot(old)["estimator"]
+        assert old_state["backend"] == "process"  # the keys really are there
+        restored = KrigingEstimator.from_state(_simulate, old_state)
+
+        # Interpolations near the support plus far points that must simulate.
+        rng = np.random.default_rng(23)
+        queries = np.vstack(
+            [
+                rng.integers(0, 6, size=(20, 3)) + rng.uniform(0.1, 0.4, size=(20, 3)),
+                rng.integers(20, 30, size=(4, 3)).astype(float),
+            ]
+        )
+        expected = est.evaluate_batch(queries)
+        out = restored.evaluate_batch(queries)
+        assert [o.interpolated for o in out] == [o.interpolated for o in expected]
+        assert any(o.interpolated for o in out)
+        assert any(not o.interpolated for o in out)
+        np.testing.assert_allclose(
+            [o.value for o in out], [o.value for o in expected], rtol=1e-9, atol=1e-12
+        )
+        np.testing.assert_array_equal(restored.cache.points, est.cache.points)
+
     def test_unknown_version_rejected(self, tmp_path):
         _, path, _ = _warm_session(tmp_path)
 
