@@ -42,6 +42,7 @@ from repro.experiments.registry import (
 from repro.experiments.replay import MetricKind, replay_trace
 from repro.experiments.reporting import (
     format_factor_reuse,
+    format_identification,
     format_neighbor_distribution,
     format_solve_phases,
     format_table1,
@@ -410,6 +411,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     print(format_neighbor_distribution(stats))
     print(format_factor_reuse(stats))
     print(format_solve_phases(stats))
+    print(format_identification(stats))
     return 0
 
 

@@ -66,7 +66,7 @@ from repro.core.kriging import (
 from repro.core.models import LinearVariogram, VariogramModel, variogram_from_state
 from repro.core.neighborhood import find_neighbors
 from repro.core.universal import adaptive_linear_drift, universal_kriging
-from repro.core.variogram import empirical_semivariogram
+from repro.core.variogram import PairLagStore, empirical_semivariogram
 from repro.utils.quantiles import QuantileSketch
 
 __all__ = ["EstimationOutcome", "KrigingEstimator", "SolvePhaseStats"]
@@ -199,6 +199,12 @@ class EstimatorStats:
     solve: SolvePhaseStats = field(default_factory=SolvePhaseStats)
     """Per-flush assembly / factorize / backsolve wall-clock split of the
     batch engine's grouped solves (cumulative seconds plus P² sketches)."""
+    n_fits: int = 0
+    """Variogram identifications made (each refit counts once)."""
+    variogram_seconds: float = 0.0
+    """Wall clock spent estimating empirical variograms (Eq. 4)."""
+    fit_seconds: float = 0.0
+    """Wall clock spent fitting model families to them."""
 
     def record_interpolation(self, n_neighbors: int) -> None:
         """Count one interpolation answered with ``n_neighbors`` support points."""
@@ -256,6 +262,9 @@ class EstimatorStats:
             "neighbor_sketch": self.neighbor_sketch.to_state(),
             "factor": [list(pair) for pair in self.factor.as_pairs()],
             "solve": self.solve.to_state(),
+            "n_fits": self.n_fits,
+            "variogram_seconds": self.variogram_seconds,
+            "fit_seconds": self.fit_seconds,
         }
 
     @classmethod
@@ -278,6 +287,10 @@ class EstimatorStats:
                 if "solve" in state
                 else SolvePhaseStats()
             ),
+            # States written before the identification counters restore 0.
+            n_fits=int(state.get("n_fits", 0)),
+            variogram_seconds=float(state.get("variogram_seconds", 0.0)),
+            fit_seconds=float(state.get("fit_seconds", 0.0)),
         )
         return stats
 
@@ -408,6 +421,9 @@ class KrigingEstimator:
         self._max_variance = max_variance
         self._fitted: Callable[[np.ndarray], np.ndarray] | None = None
         self._fitted_at: int = -1
+        # Pair lags of the cache rows seen so far, extended at each refit.
+        # Derived state: never serialized, rebuilt from the cache when empty.
+        self._pair_lags = PairLagStore(self.metric)
 
     # ------------------------------------------------------------------
     # variogram management
@@ -424,13 +440,22 @@ class KrigingEstimator:
             and n_sim - self._fitted_at >= self._refit_interval
         )
         if needs_fit:
+            start = time.perf_counter()
             emp = empirical_semivariogram(
-                self.cache.points, self.cache.values, metric=self.metric
+                self.cache.points,
+                self.cache.values,
+                metric=self.metric,
+                store=self._pair_lags,
             )
+            fit_start = time.perf_counter()
             if spec == "auto":
                 self._fitted = select_variogram(emp).model
             else:
                 self._fitted = fit_variogram(emp, str(spec)).model
+            end = time.perf_counter()
+            self.stats.n_fits += 1
+            self.stats.variogram_seconds += fit_start - start
+            self.stats.fit_seconds += end - fit_start
             self._fitted_at = n_sim
             # Every cached factorization was built from the old variogram's
             # Gamma entries; reusing one now would interpolate against a

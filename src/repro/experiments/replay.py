@@ -76,6 +76,12 @@ class ReplayStats:
     ``factorize_seconds`` / ``backsolve_seconds`` / ``n_flushes``) from the
     estimator's :class:`~repro.core.estimator.SolvePhaseStats`; empty when
     no grouped flush ran."""
+    n_fits: int = 0
+    """Variogram identifications made during the replay."""
+    variogram_seconds: float = 0.0
+    """Wall clock of their empirical variograms (Eq. 4)."""
+    fit_seconds: float = 0.0
+    """Wall clock of their model fits."""
 
     def solve_phase(self, name: str) -> float:
         """One cumulative solve-phase value by name (0.0 when untracked)."""
@@ -241,6 +247,9 @@ def replay_trajectory(
         neighbor_quantiles=quantiles,
         factor_reuse=stats.factor.as_pairs(),
         solve_phases=stats.solve.as_pairs() if stats.solve.n_flushes else (),
+        n_fits=stats.n_fits,
+        variogram_seconds=stats.variogram_seconds,
+        fit_seconds=stats.fit_seconds,
     )
 
 

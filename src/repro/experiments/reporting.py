@@ -18,6 +18,7 @@ __all__ = [
     "format_neighbor_distribution",
     "format_factor_reuse",
     "format_solve_phases",
+    "format_identification",
 ]
 
 _HEADER = (
@@ -121,3 +122,27 @@ def format_table1(rows: Sequence[Table1Row]) -> str:
         lines.append(format_row(row))
         previous = row.benchmark
     return "\n".join(lines)
+
+
+def format_identification(stats: ReplayStats) -> str:
+    """Render a replay's variogram-identification cost next to its solves.
+
+    One line: the number of identifications, the seconds spent on
+    empirical variograms and on model fits, and each one's share of the
+    engine time tracked here (identification plus the three solve phases).
+    """
+    label = f"{stats.benchmark or 'replay':<12} d={stats.distance:<4.0f}"
+    if not stats.n_fits:
+        return f"{label} identify: n/a"
+    solve = sum(
+        stats.solve_phase(name)
+        for name in ("assembly_seconds", "factorize_seconds", "backsolve_seconds")
+    )
+    total = stats.variogram_seconds + stats.fit_seconds + solve
+    share = (lambda x: 100.0 * x / total) if total > 0.0 else (lambda x: 0.0)
+    return (
+        f"{label} identify fits={stats.n_fits} "
+        f"variogram={stats.variogram_seconds:.3f}s ({share(stats.variogram_seconds):4.1f}%) "
+        f"fit={stats.fit_seconds:.3f}s ({share(stats.fit_seconds):4.1f}%) "
+        f"of identify+solve"
+    )

@@ -57,6 +57,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "p=" in out
         assert "mu_eps=" in out
+        assert "identify fits=" in out
 
 
 class TestServiceParser:

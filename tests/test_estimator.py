@@ -325,3 +325,88 @@ class TestSolvePhaseStats:
         est.evaluate_batch(np.arange(8.0).reshape(4, 2))
         assert est.stats.solve.n_flushes == 0
         assert est.stats.solve.total_seconds == 0.0
+
+
+class TestIncrementalIdentification:
+    """Refits through the estimator's pair-lag store choose exactly the
+    model a stateless re-identification from the cache chooses."""
+
+    @staticmethod
+    def _replay(setup, monkeypatch, *, restore: bool):
+        import repro.core.estimator as estimator_mod
+        from repro.core.fitting import select_variogram
+        from repro.core.variogram import empirical_semivariogram
+
+        trace = setup.record_trajectory().unique_first_visits()
+        points = trace.configurations.astype(float)
+        truth = dict(zip(map(tuple, points.tolist()), trace.values.tolist()))
+
+        def simulate(config):
+            return truth[tuple(np.asarray(config, dtype=float).tolist())]
+
+        current: dict = {}
+        checked: list[int] = []
+
+        def checking_select(emp, *args, **kwargs):
+            est = current["est"]
+            stateless = empirical_semivariogram(
+                est.cache.points, est.cache.values, metric=est.metric
+            )
+            for name in ("lags", "gammas", "counts"):
+                assert np.array_equal(getattr(emp, name), getattr(stateless, name))
+            fitted = select_variogram(emp, *args, **kwargs)
+            assert fitted == select_variogram(stateless)
+            checked.append(len(est.cache))
+            return fitted
+
+        monkeypatch.setattr(estimator_mod, "select_variogram", checking_select)
+        est = current["est"] = KrigingEstimator(
+            simulate,
+            points.shape[1],
+            distance=3.0,
+            variogram="auto",
+            min_fit_points=4,
+            refit_interval=1,
+        )
+        half = len(points) // 2
+        outcomes = est.evaluate_batch(points[:half])
+        if restore:
+            est = current["est"] = KrigingEstimator.from_state(simulate, est.to_state())
+        outcomes += est.evaluate_batch(points[half:])
+        decisions = [(o.interpolated, o.value) for o in outcomes]
+        return est, decisions, checked
+
+    @pytest.mark.parametrize("name", ["fir", "iir"])
+    def test_every_refit_matches_stateless_identification(
+        self, name, monkeypatch, request
+    ):
+        setup = request.getfixturevalue(f"{name}_setup")
+        est, decisions, checked = self._replay(setup, monkeypatch, restore=False)
+        assert len(checked) == est.stats.n_fits > 3
+        _, resumed, checked_resumed = self._replay(setup, monkeypatch, restore=True)
+        # The restored estimator rebuilt its store from the cache and went
+        # on refitting identically.
+        assert resumed == decisions
+        assert checked_resumed == checked
+
+    def test_identification_counters_round_trip(self):
+        est = KrigingEstimator(
+            linear_metric, 2, distance=2.0, variogram="auto", min_fit_points=3,
+            refit_interval=1,
+        )
+        rng = np.random.default_rng(8)
+        est.evaluate_batch(np.unique(rng.integers(0, 6, size=(30, 2)), axis=0))
+        stats = est.stats
+        assert stats.n_fits >= 1
+        assert stats.variogram_seconds > 0.0 and stats.fit_seconds > 0.0
+        state = est.to_state()
+        twin = KrigingEstimator.from_state(linear_metric, state)
+        assert (twin.stats.n_fits, twin.stats.fit_seconds) == (
+            stats.n_fits, stats.fit_seconds,
+        )
+        for key in ("n_fits", "variogram_seconds", "fit_seconds"):
+            del state["stats"][key]
+        old = KrigingEstimator.from_state(linear_metric, state)
+        assert (old.stats.n_fits, old.stats.variogram_seconds, old.stats.fit_seconds) == (
+            0, 0.0, 0.0,
+        )

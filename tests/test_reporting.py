@@ -267,3 +267,30 @@ class TestSolvePhases:
             + phases["factorize_seconds"]
             + phases["backsolve_seconds"]
         ) > 0.0
+
+
+class TestIdentification:
+    def test_renders_fit_share_next_to_solves(self):
+        from repro.experiments.reporting import format_identification
+
+        stats = TestSolvePhases()._stats(
+            n_fits=14, variogram_seconds=0.5, fit_seconds=3.5
+        )
+        line = format_identification(stats)
+        assert "fits=14" in line
+        # Shares are of identification plus the 1.0 s of solve phases.
+        assert "variogram=0.500s (10.0%)" in line
+        assert "fit=3.500s (70.0%)" in line
+
+    def test_no_fits_placeholder(self):
+        from repro.experiments.reporting import format_identification
+
+        assert "n/a" in format_identification(TestSolvePhases()._stats())
+
+    def test_replay_surfaces_identification_cost(self):
+        rng = np.random.default_rng(6)
+        configs = np.unique(rng.integers(2, 8, size=(60, 2)), axis=0)
+        values = configs.astype(float) @ np.array([-2.0, -1.0])
+        stats = replay_trajectory(configs, values, distance=4, variogram="auto")
+        assert stats.n_fits >= 1
+        assert stats.fit_seconds > 0.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.variogram import EmpiricalVariogram, empirical_semivariogram
+from repro.core.variogram import EmpiricalVariogram, PairLagStore, empirical_semivariogram
 
 
 class TestEquation4:
@@ -135,3 +135,100 @@ class TestProperties:
         vals = np.zeros(n)
         emp = empirical_semivariogram(pts, vals)
         assert int(np.sum(emp.counts)) == n * (n - 1) // 2
+
+
+def _add_at_reference(points, values, metric):
+    """Eq. 4 grouped by exact lag, accumulated with ``np.add.at``."""
+    from repro.core.distances import pairwise_distances
+
+    dist = pairwise_distances(points, metric)
+    iu, ju = np.triu_indices(points.shape[0], k=1)
+    lags, sqdiff = dist[iu, ju], 0.5 * (values[iu] - values[ju]) ** 2
+    keep = lags > 0
+    lags, sqdiff = lags[keep], sqdiff[keep]
+    unique_lags, inverse = np.unique(lags, return_inverse=True)
+    gamma = np.zeros(unique_lags.size)
+    counts = np.zeros(unique_lags.size, dtype=np.int64)
+    np.add.at(gamma, inverse, sqdiff)
+    np.add.at(counts, inverse, 1)
+    return unique_lags, gamma / counts, counts
+
+
+def _assert_bitwise(a: EmpiricalVariogram, b: EmpiricalVariogram) -> None:
+    for name in ("lags", "gammas", "counts"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y), name
+
+
+METRICS = ["l1", "l2", "linf"]
+
+
+class TestPairLagStore:
+    """The incremental estimate equals the stateless one bit for bit."""
+
+    @staticmethod
+    def _field(rng, n, nv):
+        points = rng.integers(0, 6, size=(n, nv)).astype(float)
+        values = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+        return points, values
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_one_point_growth(self, metric):
+        points, values = self._field(np.random.default_rng(7), 70, 5)
+        store = PairLagStore(metric)
+        for n in range(2, len(values) + 1):
+            incremental = empirical_semivariogram(
+                points[:n], values[:n], metric=metric, store=store
+            )
+            _assert_bitwise(
+                incremental, empirical_semivariogram(points[:n], values[:n], metric=metric)
+            )
+        assert store.n_points == len(values)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_block_growth_through_blocked_distances(self, metric):
+        from repro.core import distances
+        # 430 points x 23 variables: the distance cube passes the 32 MB
+        # block limit, so the stateless path takes the blocked branch.
+        points, values = self._field(np.random.default_rng(11), 430, 23)
+        assert 430 * 430 * 23 * 8 > distances._PAIRWISE_BLOCK_BYTES
+        store = PairLagStore(metric)
+        for n in (2, 3, 40, 41, 250, 430):
+            incremental = empirical_semivariogram(
+                points[:n], values[:n], metric=metric, store=store
+            )
+            stateless = empirical_semivariogram(points[:n], values[:n], metric=metric)
+            _assert_bitwise(incremental, stateless)
+        # An empty store absorbing everything at once (a restored
+        # estimator's first refit) takes the blocked cross-distance branch.
+        restored = PairLagStore(metric)
+        _assert_bitwise(
+            empirical_semivariogram(points, values, metric=metric, store=restored), stateless
+        )
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_stateless_sums_match_add_at(self, metric):
+        points, values = self._field(np.random.default_rng(3), 90, 4)
+        lags, gammas, counts = _add_at_reference(points, values, metric)
+        emp = empirical_semivariogram(points, values, metric=metric)
+        _assert_bitwise(emp, EmpiricalVariogram(lags, gammas, counts))
+
+    def test_max_lag_and_bins_apply_to_stored_pairs(self):
+        points, values = self._field(np.random.default_rng(5), 40, 3)
+        for kwargs in ({"max_lag": 4.0}, {"n_bins": 5}):
+            store = PairLagStore()
+            empirical_semivariogram(points[:20], values[:20], store=store, **kwargs)
+            _assert_bitwise(
+                empirical_semivariogram(points, values, store=store, **kwargs),
+                empirical_semivariogram(points, values, **kwargs),
+            )
+
+    def test_rejects_a_shorter_prefix_and_another_metric(self):
+        points, values = self._field(np.random.default_rng(9), 10, 2)
+        store = PairLagStore("l1")
+        empirical_semivariogram(points, values, store=store)
+        with pytest.raises(ValueError, match="holds 10 points"):
+            empirical_semivariogram(points[:5], values[:5], store=store)
+        with pytest.raises(ValueError, match="metric"):
+            empirical_semivariogram(points, values, metric="l2", store=store)
