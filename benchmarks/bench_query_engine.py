@@ -24,13 +24,10 @@ except ImportError:  # running from a checkout without an editable install
 
 from repro.bench.workloads.query_engine import (  # noqa: E402,F401
     ACCEPTANCE_SPEEDUP,
-    REUSE_ACCEPTANCE_SPEEDUP,
     SUPPORT_SIZES,
     QUICK_SUPPORT_SIZES,
     run_benchmark,
     run_l2_index_benchmark,
-    run_parallel_benchmark,
-    run_reuse_benchmark,
 )
 from repro.bench.workloads import query_engine as _workload  # noqa: E402
 
@@ -42,9 +39,8 @@ def write_report(report: dict, path: pathlib.Path = RESULT_PATH) -> None:
 
 
 def test_query_engine_speedup():
-    """The batch engine beats the seed hot path >= 5x at n=2000, the KD-tree
-    beats the brute-force L2 path, and the factor-cache path beats the fresh
-    batch path >= 1.5x on the incremental-growth workload."""
+    """The batch engine beats the seed hot path >= 5x at n=2000 and the
+    KD-tree beats the brute-force L2 path."""
     report = run_benchmark()
     write_report(report)
     assert report["acceptance"]["passed"], report["acceptance"]

@@ -363,10 +363,6 @@ class CoverageGate:
 ROW_FIELDS = ("speedup_evaluate_vs_seed", "speedup_batch_vs_seed")
 #: Speedup fields gated in the ``l2_index`` section.
 L2_FIELDS = ("speedup_kdtree_vs_brute",)
-#: Speedup fields gated in the ``reuse`` (factorization cache) section.
-REUSE_FIELDS = ("speedup_reuse_vs_fresh",)
-# The ``parallel`` section is recorded but not gated: thread scaling depends
-# on the runner's core count (a single-core runner honestly reports ~1x).
 
 #: The solve-path gate, shared by the ``solve`` workload and the matching
 #: section embedded in the query-engine report: stacked batched
@@ -385,7 +381,6 @@ GATE_SETS: dict[str, tuple] = {
     "query_engine": (
         RowRatchetGate(fields=ROW_FIELDS),
         SectionRatchetGate("l2_index", L2_FIELDS),
-        SectionRatchetGate("reuse", REUSE_FIELDS),
     )
     + SOLVE_RATIO_GATES,
     "solve": SOLVE_RATIO_GATES

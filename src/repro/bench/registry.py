@@ -67,7 +67,7 @@ _DEFS = (
         module=f"{_WORKLOADS}.query_engine",
         description=(
             "Kriging query engine vs seed reimplementation: evaluate/batch "
-            "speedups per support size, KD-tree index, factorization reuse"
+            "speedups per support size, KD-tree index, stacked solves"
         ),
         gated=True,
         baseline="BENCH_query_engine.json",

@@ -14,13 +14,11 @@ Times a fixed interpolation-heavy sweep three ways at several support sizes:
   queries sharing a support set and factorizes each group's bordered
   matrix once.
 
-Three engine-knob sections ride along: ``l2_index`` (brute vs KD-tree
-radius queries under the L2 metric), ``parallel`` (threaded group solves,
-recorded but not gated) and ``reuse`` (the incremental-growth
-factor-cache scenario).  The sweep mimics a dense surface exploration
-(cf. ``experiments/figure1``): query clusters jittered inside single
-lattice cells, so clusters share neighbourhoods and the batch path has
-real groups to exploit.
+Two sections ride along: ``l2_index`` (brute vs KD-tree radius queries
+under the L2 metric) and ``stacked`` (stacked vs per-group solves).  The
+sweep mimics a dense surface exploration (cf. ``experiments/figure1``):
+query clusters jittered inside single lattice cells, so clusters share
+neighbourhoods and the batch path has real groups to exploit.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from repro.bench.spec import WorkloadSpec
 from repro.core.distances import distances_to
 from repro.core.estimator import KrigingEstimator
 from repro.core.kriging import ordinary_kriging
-from repro.core.models import ExponentialVariogram, LinearVariogram
+from repro.core.models import LinearVariogram
 from repro.core.neighborhood import find_neighbors
 
 NUM_VARIABLES = 5
@@ -50,22 +48,6 @@ SUPPORT_SIZES = (500, 2000, 5000)
 QUICK_SUPPORT_SIZES = (500, 2000)
 ACCEPTANCE_N = 2000
 ACCEPTANCE_SPEEDUP = 5.0
-PARALLEL_JOBS = 4
-
-# Incremental-growth (factor reuse) scenario: a dense side-5 lattice so the
-# neighbourhood of one query cluster holds hundreds of support points, and a
-# bounded strictly-PD variogram so the shifted Gamma matrix factorizes (the
-# piecewise-linear variogram on this lattice is rank-deficient by design —
-# that regime falls back and is covered by the main sweep above).
-REUSE_LATTICE = 5
-REUSE_DISTANCE = 5.75
-REUSE_QUERIES = 32
-# The reuse scenario runs full-length even in --quick mode: shortening the
-# round count under-amortizes the first-round fresh factorizations and the
-# measured ratio drifts toward the regression-gate bound.
-REUSE_ROUNDS = 10
-REUSE_ACCEPTANCE_SPEEDUP = 1.5
-REUSE_VARIOGRAM = ExponentialVariogram(sill=25.0, range_=8.0)
 
 WORKLOAD_SEED = 0
 
@@ -74,14 +56,13 @@ SPEC = WorkloadSpec(
     kind="query_engine",
     description=(
         "Interpolation-heavy sweep: seed hot path vs evaluate vs batch, "
-        "plus l2-index, parallel and factor-reuse sections"
+        "plus l2-index and stacked-solve sections"
     ),
     seed=WORKLOAD_SEED,
     repetitions=2,
     params={
         "support_sizes": list(SUPPORT_SIZES),
         "n_queries": N_QUERIES,
-        "reuse_rounds": REUSE_ROUNDS,
     },
     quick={
         "support_sizes": list(QUICK_SUPPORT_SIZES),
@@ -272,128 +253,10 @@ def run_l2_index_benchmark(
     }
 
 
-def run_parallel_benchmark(
-    n_support: int = ACCEPTANCE_N,
-    n_queries: int = N_QUERIES,
-    repetitions: int = 2,
-    n_jobs: int = PARALLEL_JOBS,
-    samples: SampleLog | None = None,
-) -> dict:
-    """``evaluate_batch`` wall clock: sequential versus threaded group solves."""
-    support, support_values, queries = _make_workload(n_support, n_queries)
-    timings = {}
-    for jobs in (1, n_jobs):
-        def _sweep(jobs=jobs):
-            est = _engine_estimator(support, support_values, n_jobs=jobs)
-            return est.evaluate_batch(queries)
-
-        timings[jobs], _ = _time(
-            _sweep, repetitions=repetitions,
-            samples=samples, label=f"parallel.jobs{jobs}",
-        )
-    return {
-        "n_support": n_support,
-        "n_queries": n_queries,
-        "n_jobs": n_jobs,
-        "serial_seconds": round(timings[1], 6),
-        "parallel_seconds": round(timings[n_jobs], 6),
-        "speedup_parallel_vs_serial": round(timings[1] / timings[n_jobs], 2),
-    }
-
-
-def run_reuse_benchmark(
-    n_support: int = ACCEPTANCE_N,
-    n_rounds: int = REUSE_ROUNDS,
-    n_queries: int = REUSE_QUERIES,
-    repetitions: int = 2,
-    samples: SampleLog | None = None,
-) -> dict:
-    """The incremental-growth scenario: factor-cache reuse on versus off.
-
-    Optimizer loops evaluate a cluster of candidates, simulate the winner,
-    and re-evaluate — so consecutive rounds krige over support sets that
-    differ by exactly one point.  With the reuse layer each round's
-    factorizations derive from the previous round's by rank-1 row edits;
-    without it every round refactorizes every group from scratch.  Both
-    variants must produce the same estimates to 1e-9.
-    """
-    rng = np.random.default_rng(7)
-    support = set()
-    while len(support) < n_support:
-        point = tuple(int(x) for x in rng.integers(0, REUSE_LATTICE, size=NUM_VARIABLES))
-        support.add(point)
-    support = np.asarray(sorted(support), dtype=np.float64)
-    support_values = np.array([_field(p) for p in support])
-    center = support[rng.integers(0, n_support)]
-    queries = center[None, :] + rng.uniform(0.1, 0.4, size=(n_queries, NUM_VARIABLES))
-    new_points = [
-        center + rng.uniform(0.45, 0.55, size=NUM_VARIABLES)
-        * rng.choice([-1.0, 1.0], size=NUM_VARIABLES)
-        for _ in range(n_rounds)
-    ]
-
-    def _incremental(factor_cache: bool, rounds: list | None = None):
-        est = _engine_estimator(
-            support,
-            support_values,
-            distance=REUSE_DISTANCE,
-            variogram=REUSE_VARIOGRAM,
-            factor_cache=factor_cache,
-        )
-        values = []
-        for new_point in rounds if rounds is not None else new_points:
-            values.append([o.value for o in est.evaluate_batch(queries)])
-            est.force_simulate(new_point)
-        return values, est.stats.factor
-
-    # Warm-up (both variants share it): BLAS pools, allocator arenas and the
-    # lattice index are all hot before anything is timed, so a single-
-    # repetition --quick run measures the same regime as the full run.
-    _incremental(True, rounds=new_points[:2])
-
-    timings = {}
-    outputs = {}
-    factor_stats = None
-    for enabled in (True, False):
-        key = "reuse" if enabled else "fresh"
-        timings[key], (outputs[key], stats) = _time(
-            lambda enabled=enabled: _incremental(enabled), repetitions=repetitions,
-            samples=samples, label=f"reuse.{key}",
-        )
-        if enabled:
-            factor_stats = stats
-
-    # The reuse layer is a performance knob only: identical estimates.
-    np.testing.assert_allclose(
-        outputs["reuse"], outputs["fresh"], rtol=1e-9, atol=1e-12
-    )
-    group_size = int(
-        np.flatnonzero(
-            np.abs(support - np.floor(queries[0])).sum(axis=1) <= REUSE_DISTANCE
-        ).size
-    )
-    counters = dict(factor_stats.as_pairs())
-    return {
-        "n_support": n_support,
-        "n_rounds": n_rounds,
-        "n_queries_per_round": n_queries,
-        "n_support_group": group_size,
-        "reuse_fresh_seconds": round(timings["fresh"], 6),
-        "reuse_cached_seconds": round(timings["reuse"], 6),
-        "speedup_reuse_vs_fresh": round(timings["fresh"] / timings["reuse"], 2),
-        "reuse_factor_hits": counters["hits"],
-        "reuse_factor_updates": counters["updates"],
-        "reuse_factor_update_points": counters["update_points"],
-        "reuse_factor_fresh": counters["fresh"],
-        "reuse_factor_fallbacks": counters["fallbacks"],
-    }
-
-
 def run_benchmark(
     support_sizes=SUPPORT_SIZES,
     n_queries: int = N_QUERIES,
     repetitions: int = 2,
-    reuse_rounds: int = REUSE_ROUNDS,
     samples: SampleLog | None = None,
 ) -> dict:
     variogram = LinearVariogram(1.0)
@@ -446,12 +309,6 @@ def run_benchmark(
     l2 = run_l2_index_benchmark(
         n_queries=n_queries, repetitions=repetitions, samples=samples
     )
-    parallel = run_parallel_benchmark(
-        n_queries=n_queries, repetitions=repetitions, samples=samples
-    )
-    reuse = run_reuse_benchmark(
-        n_rounds=reuse_rounds, repetitions=repetitions, samples=samples
-    )
     # The stacked-vs-per-group solve section rides along at reduced scale;
     # the dedicated ``solve`` workload runs it full-size.  Its ratio gates
     # multi-core-guarded, like the cluster floor.
@@ -471,20 +328,15 @@ def run_benchmark(
         },
         "results": results,
         "l2_index": l2,
-        "parallel": parallel,
-        "reuse": reuse,
         "stacked": stacked,
         "acceptance": {
             "n_support": ACCEPTANCE_N,
             "speedup_batch_vs_seed": acceptance_row["speedup_batch_vs_seed"],
             "threshold": ACCEPTANCE_SPEEDUP,
             "speedup_kdtree_vs_brute": l2["speedup_kdtree_vs_brute"],
-            "speedup_reuse_vs_fresh": reuse["speedup_reuse_vs_fresh"],
-            "reuse_threshold": REUSE_ACCEPTANCE_SPEEDUP,
             "passed": (
                 acceptance_row["speedup_batch_vs_seed"] >= ACCEPTANCE_SPEEDUP
                 and l2["speedup_kdtree_vs_brute"] > 1.0
-                and reuse["speedup_reuse_vs_fresh"] >= REUSE_ACCEPTANCE_SPEEDUP
             ),
         },
     }
@@ -505,21 +357,6 @@ def print_summary(report: dict) -> None:
         f"kdtree={l2['query_kdtree_seconds']:.3f}s  "
         f"({l2['speedup_kdtree_vs_brute']:.2f}x)  "
         f"sweep: {l2['sweep_speedup_kdtree_vs_brute']:.2f}x"
-    )
-    par = report["parallel"]
-    print(
-        f"parallel n={par['n_support']}  serial={par['serial_seconds']:.3f}s  "
-        f"n_jobs={par['n_jobs']}: {par['parallel_seconds']:.3f}s  "
-        f"({par['speedup_parallel_vs_serial']:.2f}x)"
-    )
-    reuse = report["reuse"]
-    print(
-        f"reuse n={reuse['n_support']}  group~{reuse['n_support_group']}  "
-        f"fresh={reuse['reuse_fresh_seconds']:.3f}s  "
-        f"cached={reuse['reuse_cached_seconds']:.3f}s  "
-        f"({reuse['speedup_reuse_vs_fresh']:.2f}x, "
-        f"{reuse['reuse_factor_updates']} updates / "
-        f"{reuse['reuse_factor_fresh']} fresh)"
     )
     stacked = report.get("stacked")
     if stacked:
@@ -545,7 +382,6 @@ def run(name: str, args: argparse.Namespace) -> RunResult:
         support_sizes=tuple(spec.params["support_sizes"]),
         n_queries=spec.params["n_queries"],
         repetitions=spec.repetitions,
-        reuse_rounds=spec.params["reuse_rounds"],
         samples=samples,
     )
     report = finalize_report(

@@ -4,7 +4,7 @@ Two sections, one per lever of the solve path:
 
 * ``stacked`` — a per-group ``ordinary_kriging_batch`` loop versus
   ``ordinary_kriging_grouped``, which stacks same-size systems into one
-  batched LAPACK call per size bin (serial, factor cache off, so the ratio
+  batched LAPACK call per size bin (factor cache off, so the ratio
   isolates the stacking).  Both must answer **bit-identically**.
 * ``warm_restore`` — a factor-cache-bearing format-v2 session snapshot
   restored warm versus the same snapshot with its factor section stripped
@@ -161,7 +161,7 @@ def run_stacked_benchmark(
         ]
 
     def _stacked():
-        return ordinary_kriging_grouped(groups, VARIOGRAM, metric="l1", n_jobs=1)
+        return ordinary_kriging_grouped(groups, VARIOGRAM, metric="l1")
 
     _stacked()  # warm-up: allocator + BLAS regime hot before timing
     timings = {}

@@ -55,19 +55,6 @@ __all__ = ["main", "build_parser"]
 ALL_BENCHMARKS = BENCHMARK_NAMES + EXTRA_BENCHMARK_NAMES
 
 
-def _jobs_arg(value: str) -> int:
-    """argparse type for --jobs: a positive thread count or -1 (all cores)."""
-    try:
-        jobs = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
-    if jobs != -1 and jobs < 1:
-        raise argparse.ArgumentTypeError(
-            f"--jobs must be >= 1 or -1 (all cores), got {jobs}"
-        )
-    return jobs
-
-
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     """Observability knobs shared by ``serve`` and ``cluster``."""
     parser.add_argument(
@@ -114,12 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_table.add_argument("--nn-min", type=int, default=1)
     p_table.add_argument("--variogram", default="auto")
-    p_table.add_argument(
-        "--jobs",
-        type=_jobs_arg,
-        default=1,
-        help="workers for grouped kriging solves (-1: one per CPU)",
-    )
 
     p_fig = sub.add_parser("figure1", help="render the FIR noise-power surface")
     p_fig.add_argument("--min-wl", type=int, default=6)
@@ -140,12 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--metric-kind",
         choices=[k.value for k in MetricKind],
         default=MetricKind.NOISE_POWER_DB.value,
-    )
-    p_rep.add_argument(
-        "--jobs",
-        type=_jobs_arg,
-        default=1,
-        help="workers for grouped kriging solves (-1: one per CPU)",
     )
 
     sub.add_parser("benchmarks", help="list available benchmarks")
@@ -366,7 +341,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         distances=tuple(args.distances),
         nn_min=args.nn_min,
         variogram=args.variogram,
-        n_jobs=args.jobs,
     )
     print(format_table1(rows))
     return 0
@@ -400,7 +374,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         distance=args.distance,
         nn_min=args.nn_min,
         variogram=args.variogram,
-        n_jobs=args.jobs,
     )
     unit = "bits" if stats.metric_kind is MetricKind.NOISE_POWER_DB else "rel"
     print(

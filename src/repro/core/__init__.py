@@ -14,10 +14,9 @@ The package implements the full geostatistical pipeline of Section III:
    more than ``Nn_min`` previously *simulated* configurations within L1
    distance ``d`` is interpolated, anything else is simulated and added to
    the support cache;
-5. :mod:`~repro.core.factor_cache` / :mod:`~repro.core.lowrank` — the
-   factorization-reuse layer under the batch engine: an LRU of Cholesky
-   factors of the (shifted) Gamma matrices keyed by support-set signature,
-   bridged across near-identical support sets by rank-1 row edits.
+5. :mod:`~repro.core.factor_cache` — the factorization-reuse layer under
+   the batch engine: an LRU of Cholesky factors of the (shifted) Gamma
+   matrices, reused when a group's support-set signature matches exactly.
 """
 
 from repro.core.cache import SimulationCache
@@ -51,11 +50,8 @@ from repro.core.kriging import (
     ordinary_kriging,
     ordinary_kriging_batch,
     ordinary_kriging_grouped,
-    resolve_n_jobs,
     simple_kriging,
-    solve_groups_stacked,
 )
-from repro.core.lowrank import chol_append, chol_delete, choldowndate, cholupdate
 from repro.core.universal import linear_drift, quadratic_drift, universal_kriging
 from repro.core.models import (
     ExponentialVariogram,
@@ -89,10 +85,8 @@ __all__ = [
     "ordinary_kriging",
     "ordinary_kriging_batch",
     "ordinary_kriging_grouped",
-    "solve_groups_stacked",
     "SolvePhases",
     "SolvePhaseStats",
-    "resolve_n_jobs",
     "simple_kriging",
     "universal_kriging",
     "linear_drift",
@@ -109,10 +103,6 @@ __all__ = [
     "FactorCache",
     "FactorCacheStats",
     "GammaFactor",
-    "cholupdate",
-    "choldowndate",
-    "chol_append",
-    "chol_delete",
     "loo_cross_validate",
     "select_variogram_loo",
     "CrossValidationResult",

@@ -27,26 +27,21 @@ The query hot path is a vectorized engine with three layers:
   support set and solved by
   :func:`~repro.core.kriging.ordinary_kriging_batch`, which factorizes the
   bordered Gamma matrix once per group and back-substitutes all right-hand
-  sides together; with ``n_jobs > 1`` independent groups solve concurrently
-  on a thread pool (:func:`~repro.core.kriging.ordinary_kriging_grouped`).
-  The outcomes — simulate/interpolate decisions, final cache contents, and
-  values (to tight numerical tolerance) — match an equivalent sequence of
-  :meth:`~KrigingEstimator.evaluate` calls, for every ``n_jobs``;
+  sides together; same-size groups are stacked into one batched solve
+  (:func:`~repro.core.kriging.ordinary_kriging_grouped`).  The outcomes —
+  simulate/interpolate decisions, final cache contents, and values (to
+  tight numerical tolerance) — match an equivalent sequence of
+  :meth:`~KrigingEstimator.evaluate` calls;
 * a :class:`~repro.core.factor_cache.FactorCache` keeps the group
   factorizations alive across flushes: a group whose support set matches a
-  cached one reuses the factor outright, one differing by a few points is
-  bridged with O(n^2) rank-1 row edits (:mod:`repro.core.lowrank`), and
-  every reused solve is residual-checked against the true system with a
-  transparent fallback — a decisive win on optimizer-style workloads that
-  re-evaluate near-identical neighbourhoods as the cache grows point by
-  point.
+  cached one exactly reuses the factor, and every reused solve is
+  residual-checked against the true system with a transparent fallback.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -61,7 +56,6 @@ from repro.core.kriging import (
     SolvePhases,
     ordinary_kriging,
     ordinary_kriging_grouped,
-    resolve_n_jobs,
 )
 from repro.core.models import LinearVariogram, VariogramModel, variogram_from_state
 from repro.core.neighborhood import find_neighbors
@@ -193,7 +187,7 @@ class EstimatorStats:
     simulation_seconds: float = 0.0
     kriging_seconds: float = 0.0
     factor: FactorCacheStats = field(default_factory=FactorCacheStats)
-    """Factorization-reuse counters (hits / up-downdates / fresh solves) of
+    """Factorization-reuse counters (hits / fresh solves / fallbacks) of
     the estimator's :class:`~repro.core.factor_cache.FactorCache`; all
     zeros when the reuse layer is disabled."""
     solve: SolvePhaseStats = field(default_factory=SolvePhaseStats)
@@ -342,20 +336,13 @@ class KrigingEstimator:
         lattice bucket index for L1/Linf, a KD-tree for L2), ``"bucket"``,
         ``"kdtree"`` or ``"brute"``.  Purely a performance knob: results are
         identical.
-    n_jobs:
-        Workers for the batch engine's shared-support group solves
-        (``1``/``None`` sequential, ``-1`` one per CPU).  Purely a
-        wall-clock knob: decisions, cache contents and values are identical
-        for every setting (each group is solved on a single worker in a
-        fixed order).  Call :meth:`close` (or use the estimator as a
-        context manager) to release the thread pool.
     factor_cache:
         The factorization-reuse layer: ``True`` (default) builds a
         :class:`~repro.core.factor_cache.FactorCache`, ``False`` disables
-        reuse, or pass a pre-configured instance to tune capacity and the
-        up/downdate distance.  Purely a performance knob: every reused
-        solve is residual-checked with a transparent fresh-solve fallback.
-        The cache is invalidated whenever the variogram is (re)fitted.
+        reuse, or pass a pre-configured instance to tune its capacity and
+        byte budget.  Purely a performance knob: every reused solve is
+        residual-checked with a transparent fresh-solve fallback.  The
+        cache is invalidated whenever the variogram is (re)fitted.
     """
 
     def __init__(
@@ -373,7 +360,6 @@ class KrigingEstimator:
         max_variance: float | None = None,
         interpolator: str = "ordinary",
         neighbor_index: str = "auto",
-        n_jobs: int | None = 1,
         factor_cache: bool | FactorCache = True,
     ) -> None:
         if distance < 0:
@@ -404,8 +390,6 @@ class KrigingEstimator:
         self.neighbor_index: NeighborIndex = make_index(
             self.metric, num_variables, neighbor_index
         )
-        self.n_jobs = resolve_n_jobs(n_jobs)
-        self._executor: ThreadPoolExecutor | None = None  # lazy, reused per flush
         self.stats = EstimatorStats()
         if isinstance(factor_cache, FactorCache):
             self.factor_cache: FactorCache | None = factor_cache
@@ -633,20 +617,12 @@ class KrigingEstimator:
     ) -> None:
         """Solve all deferred interpolations against the current cache state.
 
-        Multi-query shared-support groups go through
-        :func:`~repro.core.kriging.ordinary_kriging_grouped`, which spreads
-        the per-group factorizations over ``n_jobs`` workers; singleton
-        groups (and the universal interpolator, whose drift is per-query)
-        are solved in place.  Outcomes and statistics are assigned in a
-        fixed group order after all solves return, so results are identical
-        for every ``n_jobs``.
-
-        Factor reuse happens *here*, serially, during group assembly: every
-        :meth:`~repro.core.factor_cache.FactorCache.factor_for` call —
-        lookup, rank-1 derivation, insertion, eviction — runs on this thread
-        in pending-dict order before any parallel dispatch, so the cache
-        state (and with it every solve) is deterministic for every
-        ``n_jobs``.  Workers only read the factors they are handed.
+        Ordinary groups go through
+        :func:`~repro.core.kriging.ordinary_kriging_grouped`; the universal
+        interpolator, whose drift is per-query, is solved in place.
+        Outcomes and statistics are assigned in a fixed group order after
+        all solves return.  Factor-cache lookups happen during group
+        assembly, in pending-dict order.
         """
         if not pending:
             return
@@ -655,11 +631,9 @@ class KrigingEstimator:
         points = self.cache.points
         values = self.cache.values
 
-        # Split the deferred work: every ordinary group — singletons included,
-        # so near-identical neighbourhoods of consecutive queries reuse each
-        # other's factorizations — goes through the grouped (and parallel)
-        # batch solver; the universal interpolator keeps the per-query solve
-        # (its drift basis is per-query).
+        # Split the deferred work: every ordinary group, singletons included,
+        # goes through the grouped batch solver; the universal interpolator
+        # keeps the per-query solve (its drift basis is per-query).
         batched: list[list[tuple[int, np.ndarray, np.ndarray]]] = []
         groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         factors: list[GammaFactor | None] = []
@@ -675,8 +649,9 @@ class KrigingEstimator:
                     if self.factor_cache is not None
                     else None
                 )
-                # A factor's rows are a permutation of the signature; feeding
-                # the support in factor order lets the solve reuse it as-is.
+                # A factor's rows are a permutation of the signature (restored
+                # factors may be unsorted); feeding the support in factor
+                # order lets the solve reuse it as-is.
                 support = (
                     factor.rows
                     if factor is not None
@@ -687,20 +662,11 @@ class KrigingEstimator:
                 groups.append((points[support], values[support], queries))
                 factors.append(factor)
 
-        # One long-lived pool per estimator: the batch engine flushes before
-        # every simulation, so a per-flush executor would pay spawn/join
-        # costs hundreds of times per sweep.
-        if self.n_jobs > 1 and len(groups) > 1 and self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.n_jobs, thread_name_prefix="kriging"
-            )
         phases = SolvePhases()
         grouped_results = ordinary_kriging_grouped(
             groups,
             variogram,
             metric=self.metric,
-            n_jobs=self.n_jobs,
-            executor=self._executor,
             factors=factors,
             phases=phases,
         )
@@ -736,29 +702,6 @@ class KrigingEstimator:
             self.stats.record_interpolation(int(neighbors.size))
         self.stats.kriging_seconds += time.perf_counter() - start
         pending.clear()
-
-    def close(self) -> None:
-        """Release the long-lived solve thread pool (idempotent).
-
-        The estimator stays usable after ``close`` — the pool is re-created
-        lazily on the next flush.  Safe to call any number of times, and
-        called automatically on garbage collection (``__del__``).
-        """
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:  # pragma: no cover - interpreter-shutdown races
-            pass
-
-    def __enter__(self) -> "KrigingEstimator":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def force_simulate(self, configuration: object) -> EstimationOutcome:
         """Simulate ``configuration`` regardless of the neighbourhood policy.
@@ -845,7 +788,6 @@ class KrigingEstimator:
             "max_variance": self._max_variance,
             "interpolator": self.interpolator,
             "neighbor_index": self._neighbor_index_kind,
-            "n_jobs": self.n_jobs,
             "factor_cache": self.factor_cache is not None,
             "fitted": fitted.to_state() if fitted is not None else None,
             "fitted_at": self._fitted_at,
@@ -866,7 +808,7 @@ class KrigingEstimator:
 
         ``simulate`` re-binds the metric function (callables do not
         serialize); ``overrides`` replace constructor keywords — e.g.
-        ``n_jobs`` when restoring onto different hardware.
+        ``factor_cache=False`` to restore without the reuse layer.
         The restored estimator makes bit-identical decisions and cache
         additions to the snapshotted one fed the same queries: cache rows,
         fitted model parameters and sketch markers all round-trip exactly.
@@ -876,7 +818,8 @@ class KrigingEstimator:
         factorizations instead of rebuilding them (warm start).  Version-1
         states restore cold, silently; a malformed ``factor_entries``
         section degrades to a cold restore with a warning instead of
-        failing the whole restore.
+        failing the whole restore.  The ``n_jobs`` key of states written
+        before the thread pool was removed is ignored.
         """
         if state.get("version") not in (1, 2):
             raise ValueError(
@@ -898,7 +841,6 @@ class KrigingEstimator:
             "max_variance": state["max_variance"],
             "interpolator": state["interpolator"],
             "neighbor_index": state["neighbor_index"],
-            "n_jobs": state["n_jobs"],
             "factor_cache": state["factor_cache"],
         }
         kwargs.update(overrides)

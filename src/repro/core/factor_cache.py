@@ -1,12 +1,11 @@
 """LRU cache of Gamma-matrix Cholesky factorizations (the reuse layer).
 
 The batch engine factorizes one bordered Gamma matrix per shared-support
-group — and optimizer loops (descent, min-plus-one) revisit *near*-identical
-support sets thousands of times while the cache grows one point at a time.
-This module amortizes that: factorizations are cached by support-set
-signature, and when a new group's support differs from a cached one by a few
-points the cached factor is edited with O(n^2) row appends/deletes
-(:mod:`repro.core.lowrank`) instead of refactorized from scratch.
+group, and a serving session answers reads over the same support sets
+again and again between writes.  This module amortizes that: factorizations
+are cached by support-set signature, and a group whose signature matches a
+cached one exactly is solved with two triangular backsolves instead of a
+fresh factorization.  Any other signature is factorized from scratch.
 
 The Gamma matrix itself (zero diagonal, conditionally negative definite) has
 no Cholesky factorization, so the cache factors the classical *shifted*
@@ -14,8 +13,7 @@ matrix ``A = s 11^T - Gamma``, positive definite for a large enough shift
 ``s`` on strictly conditionally-negative-definite variograms.  Ordinary
 kriging weights are invariant under the shift: with ``a = s 1 - g`` the
 bordered system ``Gamma w + mu 1 = g, 1^T w = 1`` becomes ``A w - mu 1 = a``
-under the same constraint, solved by two triangular backsolves per flush
-instead of a fresh O(n^3) factorization.
+under the same constraint.
 
 Accuracy is guarded twice: a factor whose diagonal spread signals bad
 conditioning is refused (fresh path), and every solve's residual is checked
@@ -27,20 +25,14 @@ every Gamma entry, so the estimator invalidates the whole cache on refit.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from repro.core.distances import DistanceMetric, distances_to, pairwise_distances
-from repro.core.lowrank import (
-    chol_append,
-    chol_delete,
-    solve_lower,
-    solve_lower_transpose,
-)
+from repro.core.distances import DistanceMetric, pairwise_distances
 
 __all__ = ["FactorCache", "FactorCacheStats", "GammaFactor"]
 
@@ -64,12 +56,13 @@ _SHIFT_GROWTH = (1.0, 4.0, 16.0)
 class FactorCacheStats:
     """Effectiveness counters of one :class:`FactorCache`.
 
-    ``hits`` are exact signature matches, ``updates`` factors derived from a
-    near match by rank-1 row edits (``update_points`` rows in total), and
-    ``fresh`` full factorizations.  ``fallbacks`` counts solves rejected by
-    the residual check (answered by the plain solver), ``failures``
-    support sets that produced no positive-definite factor at all, and
-    ``invalidations`` whole-cache flushes (variogram refits).
+    ``hits`` are exact signature matches and ``fresh`` full
+    factorizations.  ``fallbacks`` counts solves rejected by the residual
+    check (answered by the plain solver), ``failures`` support sets that
+    produced no positive-definite factor at all, and ``invalidations``
+    whole-cache flushes (variogram refits).  ``updates`` and
+    ``update_points`` always read 0: they stay in the counter schema read
+    by the ``stats`` verb and by snapshot stats.
     """
 
     hits: int = 0
@@ -80,14 +73,6 @@ class FactorCacheStats:
     failures: int = 0
     invalidations: int = 0
     evictions: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def count_fallback(self) -> None:
-        """Thread-safe fallback increment (solves run on worker threads)."""
-        with self._lock:
-            self.fallbacks += 1
 
     @property
     def requests(self) -> int:
@@ -128,12 +113,12 @@ class FactorCacheStats:
 class GammaFactor:
     """One cached factorization: ``chol @ chol.T ~= shift - gamma``.
 
-    ``rows`` are the support cache rows in *factor order* — the order rows
-    were appended, a permutation of the sorted signature.  Callers must feed
-    support points/values in this order; weights come back in it too.
-    ``gamma`` is the unbordered Gamma matrix in the same order, kept so
-    solves can be residual-checked against the true system (the factor alone
-    would hide any drift accumulated by successive row edits).
+    ``rows`` are the support cache rows in *factor order*: the sorted
+    signature for factors built here, possibly a permutation of it for
+    factors restored from older snapshots.  Callers must feed support
+    points/values in this order; weights come back in it too.  ``gamma`` is
+    the unbordered Gamma matrix in the same order, kept so solves can be
+    residual-checked against the true system.
     """
 
     __slots__ = ("rows", "gamma", "shift", "chol", "ones_solve", "ones_sum", "stats")
@@ -153,9 +138,7 @@ class GammaFactor:
         self.stats = stats
         # A^-1 1 is shared by every query of every solve; it rides along the
         # first solve's right-hand-side block (one extra column instead of a
-        # dedicated triangular-solve pair) and is memoized here.  Worker
-        # threads racing on the memo write identical values (pure function
-        # of the factor), so results stay deterministic.
+        # dedicated triangular-solve pair) and is memoized here.
         self.ones_solve: np.ndarray | None = None
         self.ones_sum = 0.0
 
@@ -184,7 +167,10 @@ class GammaFactor:
         rhs[:, :m] = self.shift - gamma_queries  # a = s 1 - g
         if ones_solve is None:
             rhs[:, m] = 1.0
-        solved = solve_lower_transpose(self.chol, solve_lower(self.chol, rhs))
+        forward = solve_triangular(self.chol, rhs, lower=True, check_finite=False)
+        solved = solve_triangular(
+            self.chol, forward, lower=True, trans="T", check_finite=False
+        )
         if ones_solve is None:
             ones_solve = solved[:, m]
             solved = solved[:, :m]
@@ -192,7 +178,7 @@ class GammaFactor:
             self.ones_solve = ones_solve
         if not (np.isfinite(self.ones_sum) and self.ones_sum > 0.0):
             if self.stats is not None:
-                self.stats.count_fallback()
+                self.stats.fallbacks += 1
             return None
         lagrange = (solved.sum(axis=0) - 1.0) / self.ones_sum  # nu, (m,)
         weights = solved - ones_solve[:, None] * lagrange[None, :]
@@ -207,7 +193,7 @@ class GammaFactor:
         )
         if not np.isfinite(worst) or worst > RESIDUAL_RTOL * scale:
             if self.stats is not None:
-                self.stats.count_fallback()
+                self.stats.fallbacks += 1
             return None
         return np.vstack([weights, -lagrange[None, :]])
 
@@ -224,13 +210,7 @@ class FactorCache:
         ``n x n`` float64 blocks, so entry-count alone does not bound
         memory on large-neighbourhood sweeps).  Least recently used
         entries are evicted past the budget; the most recent factor is
-        always kept so derive chains survive even oversized supports.
-    max_update_points:
-        Largest symmetric difference between a requested signature and a
-        cached one that is bridged by row appends/deletes; farther sets are
-        factorized fresh.  The default (``None``) adapts to the support
-        size — ``max(8, n // 8)`` — since k rank-1 edits beat an O(n^3)
-        refactorization for any k well below ``n``.
+        always kept, even when it alone exceeds the budget.
     min_support:
         Support sets smaller than this bypass the cache entirely — their
         O(n^3) factorization is already trivial.
@@ -244,7 +224,6 @@ class FactorCache:
         capacity: int = 64,
         *,
         max_bytes: int = 256 * 1024 * 1024,
-        max_update_points: int | None = None,
         min_support: int = 4,
         stats: FactorCacheStats | None = None,
     ) -> None:
@@ -252,27 +231,12 @@ class FactorCache:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if max_bytes < 1:
             raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
-        if max_update_points is not None and max_update_points < 0:
-            raise ValueError(f"max_update_points must be >= 0, got {max_update_points}")
         self.capacity = capacity
         self.max_bytes = max_bytes
-        self.max_update_points = max_update_points
         self.min_support = min_support
         self._bytes = 0
         self.stats = stats if stats is not None else FactorCacheStats()
         self._entries: OrderedDict[Signature, GammaFactor] = OrderedDict()
-        # Near-match search structures: an inverted index from support-cache
-        # row to the cached signatures containing it (a candidate within the
-        # update limit must share a row with the target unless both sets are
-        # tiny — those come from the size buckets), plus a monotonic recency
-        # stamp per entry so ties resolve to the most recently used factor
-        # without scanning the LRU.  Keeps `_closest` proportional to the
-        # candidates actually sharing rows instead of the whole cache, so
-        # capacities in the hundreds stay cheap.
-        self._row_index: dict[int, set[Signature]] = {}
-        self._by_size: dict[int, set[Signature]] = {}
-        self._stamps: dict[Signature, int] = {}
-        self._clock = 0
         # Support sets with no PD factorization (rank-deficient Gammas are
         # routine on lattice workloads); memoized so a signature the
         # optimizer keeps revisiting does not pay a doomed O(n^3) Cholesky
@@ -290,9 +254,6 @@ class FactorCache:
     def invalidate(self) -> None:
         """Drop every cached factor (the variogram changed under them)."""
         self._entries.clear()
-        self._row_index.clear()
-        self._by_size.clear()
-        self._stamps.clear()
         self._failed.clear()
         self._bytes = 0
         self.stats.invalidations += 1
@@ -307,34 +268,21 @@ class FactorCache:
         variogram: Variogram,
         metric: DistanceMetric | str,
     ) -> GammaFactor | None:
-        """A usable factor for ``signature``, reused/derived/built — or
+        """The cached factor for ``signature``, or a freshly built one —
         ``None`` when no well-conditioned factorization exists.
 
-        Must be called from a single thread (the estimator derives factors
-        during group assembly, before any parallel dispatch), so cache order
-        — and therefore every derived factor — is deterministic.
+        Exact signature hit, then the failure memo, then a fresh
+        factorization, which is stored.
         """
         if len(signature) < self.min_support:
             return None
         entry = self._entries.get(signature)
         if entry is not None:
             self._entries.move_to_end(signature)
-            self._touch(signature)
             self.stats.hits += 1
             return entry
         if signature in self._failed:
             return None
-
-        base = self._closest(signature)
-        if base is not None:
-            derived = self._derive(base, signature, points, variogram, metric)
-            if derived is not None:
-                self.stats.updates += 1
-                self.stats.update_points += len(
-                    set(signature) ^ set(base.rows.tolist())
-                )
-                self._store(signature, derived)
-                return derived
 
         fresh = self._fresh(signature, points, variogram, metric)
         if fresh is None:
@@ -344,7 +292,7 @@ class FactorCache:
             self._failed.add(signature)
             return None
         self.stats.fresh += 1
-        self._store(signature, fresh)
+        self.stats.evictions += self._insert(signature, fresh)
         return fresh
 
     # ------------------------------------------------------------------
@@ -389,8 +337,8 @@ class FactorCache:
             )
         loaded: list[GammaFactor] = []
         for entry in state["entries"]:
-            # Copies, not views: rank-1 updates edit factors in place, and
-            # one state dict may seed several restores (or be re-snapshot).
+            # Copies, not views: one state dict may seed several restores
+            # (or be re-snapshot).
             rows = np.array(entry["rows"], dtype=np.int64)
             gamma = np.array(entry["gamma"], dtype=np.float64)
             chol = np.array(entry["chol"], dtype=np.float64)
@@ -406,20 +354,9 @@ class FactorCache:
                 raise ValueError("non-finite factor-cache entry")
             loaded.append(GammaFactor(rows, gamma, shift, chol, stats=self.stats))
         for factor in loaded:
-            signature = tuple(sorted(factor.rows.tolist()))
-            self._entries[signature] = factor
-            self._entries.move_to_end(signature)
-            self._touch(signature)
-            for row in signature:
-                self._row_index.setdefault(row, set()).add(signature)
-            self._by_size.setdefault(len(signature), set()).add(signature)
-            self._bytes += self._factor_bytes(factor)
-            while len(self._entries) > 1 and (
-                len(self._entries) > self.capacity or self._bytes > self.max_bytes
-            ):
-                evicted, old = self._entries.popitem(last=False)
-                self._unindex(evicted)
-                self._bytes -= self._factor_bytes(old)
+            # Older snapshots hold factors in a permuted row order; the key
+            # is the sorted signature either way.
+            self._insert(tuple(sorted(factor.rows.tolist())), factor)
         return len(loaded)
 
     # ------------------------------------------------------------------
@@ -429,140 +366,20 @@ class FactorCache:
     def _factor_bytes(factor: GammaFactor) -> int:
         return factor.gamma.nbytes + factor.chol.nbytes + factor.rows.nbytes
 
-    def _touch(self, signature: Signature) -> None:
-        self._clock += 1
-        self._stamps[signature] = self._clock
-
-    def _store(self, signature: Signature, factor: GammaFactor) -> None:
+    def _insert(self, signature: Signature, factor: GammaFactor) -> int:
+        """Insert ``factor`` as most recent and trim oldest entries to the
+        budgets; returns the number trimmed."""
         self._entries[signature] = factor
         self._entries.move_to_end(signature)
-        self._touch(signature)
-        for row in signature:
-            self._row_index.setdefault(row, set()).add(signature)
-        self._by_size.setdefault(len(signature), set()).add(signature)
         self._bytes += self._factor_bytes(factor)
+        trimmed = 0
         while len(self._entries) > 1 and (
             len(self._entries) > self.capacity or self._bytes > self.max_bytes
         ):
-            evicted, old = self._entries.popitem(last=False)
-            self._unindex(evicted)
+            _, old = self._entries.popitem(last=False)
             self._bytes -= self._factor_bytes(old)
-            self.stats.evictions += 1
-
-    def _unindex(self, signature: Signature) -> None:
-        for row in signature:
-            sigs = self._row_index.get(row)
-            if sigs is not None:
-                sigs.discard(signature)
-                if not sigs:
-                    del self._row_index[row]
-        sized = self._by_size.get(len(signature))
-        if sized is not None:
-            sized.discard(signature)
-            if not sized:
-                del self._by_size[len(signature)]
-        self._stamps.pop(signature, None)
-
-    def _update_limit(self, signature: Signature) -> int:
-        if self.max_update_points is not None:
-            return self.max_update_points
-        return max(8, len(signature) // 8)
-
-    def _closest(self, signature: Signature) -> GammaFactor | None:
-        """The closest cached factor within the update limit — smallest
-        symmetric difference, most recently used on ties.
-
-        Candidates come from the inverted row index: every cached signature
-        sharing at least one support row with the target, for which the
-        overlap count gives the symmetric difference without materializing
-        a single set.  Cached sets sharing *no* row can still be within the
-        limit when both sets are tiny (distance is then the plain size
-        sum); the size buckets cover those.  Equivalent to a linear scan of
-        the whole LRU, at a cost proportional to the signatures actually
-        touching the target's rows.
-        """
-        limit = self._update_limit(signature)
-        if limit == 0 or not self._entries:
-            return None
-        target_len = len(signature)
-        overlap: dict[Signature, int] = {}
-        lookup = self._row_index.get
-        for row in signature:
-            for cached in lookup(row, ()):
-                overlap[cached] = overlap.get(cached, 0) + 1
-
-        best: Signature | None = None
-        best_distance = limit + 1
-        best_stamp = -1
-        for cached, shared in overlap.items():
-            distance = target_len + len(cached) - 2 * shared
-            if distance <= 0 or distance > limit:
-                continue
-            stamp = self._stamps[cached]
-            if distance < best_distance or (
-                distance == best_distance and stamp > best_stamp
-            ):
-                best, best_distance, best_stamp = cached, distance, stamp
-
-        max_disjoint = limit - target_len  # distance of a zero-overlap set
-        if max_disjoint >= 1:
-            for size, sized in self._by_size.items():
-                if size > max_disjoint:
-                    continue
-                for cached in sized:
-                    if cached in overlap:
-                        continue
-                    distance = target_len + size
-                    stamp = self._stamps[cached]
-                    if distance < best_distance or (
-                        distance == best_distance and stamp > best_stamp
-                    ):
-                        best, best_distance, best_stamp = cached, distance, stamp
-        return self._entries[best] if best is not None else None
-
-    def _derive(
-        self,
-        base: GammaFactor,
-        signature: Signature,
-        points: np.ndarray,
-        variogram: Variogram,
-        metric: DistanceMetric | str,
-    ) -> GammaFactor | None:
-        """Edit ``base`` into a factor for ``signature`` (None on breakdown)."""
-        target = set(signature)
-        chol = base.chol
-        gamma = base.gamma
-        rows = base.rows
-
-        removals = np.flatnonzero([row not in target for row in rows.tolist()])
-        try:
-            for position in removals[::-1]:
-                chol = chol_delete(chol, int(position))
-                keep = np.delete(np.arange(rows.size), position)
-                gamma = gamma[np.ix_(keep, keep)]
-                rows = rows[keep]
-
-            have = set(rows.tolist())
-            for row in sorted(target - have):
-                cross = np.asarray(
-                    variogram(distances_to(points[rows], points[row], metric)),
-                    dtype=np.float64,
-                )
-                chol = chol_append(chol, base.shift - cross, base.shift)
-                size = gamma.shape[0]
-                grown = np.empty((size + 1, size + 1))
-                grown[:size, :size] = gamma
-                grown[size, :size] = cross
-                grown[:size, size] = cross
-                grown[size, size] = 0.0
-                gamma = grown
-                rows = np.append(rows, row)
-            factor = GammaFactor(rows, gamma, base.shift, chol, stats=self.stats)
-        except np.linalg.LinAlgError:
-            return None
-        if not factor.well_conditioned():
-            return None
-        return factor
+            trimmed += 1
+        return trimmed
 
     def _fresh(
         self,

@@ -18,19 +18,15 @@ same-size bordered systems and factorizes each bin as **one** batched
 ``numpy.linalg.solve`` call over a 3-D stack (LAPACK runs the same
 per-matrix routine, so results stay inside the ~1e-9 equivalence envelope of
 a per-group solve, and the per-call Python/LAPACK dispatch overhead is paid
-once per bin instead of once per group).  Serial and thread-pool runs route
-through the same binning, so results are bit-identical across ``n_jobs``.
-A slice whose residual check fails falls back to the per-group solver,
-transparently.
+once per bin instead of once per group).  The only other route is a group
+with a cached factorization of its exact support set.  A slice whose
+residual check fails falls back to the per-group solver, transparently.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -52,9 +48,7 @@ __all__ = [
     "ordinary_kriging",
     "ordinary_kriging_batch",
     "ordinary_kriging_grouped",
-    "solve_groups_stacked",
     "simple_kriging",
-    "resolve_n_jobs",
 ]
 
 Variogram = Callable[[np.ndarray], np.ndarray]
@@ -62,39 +56,22 @@ Variogram = Callable[[np.ndarray], np.ndarray]
 KrigingGroup = tuple[np.ndarray, np.ndarray, np.ndarray]
 """One shared-support solve: ``(support_points, support_values, queries)``."""
 
-def resolve_n_jobs(n_jobs: int | None) -> int:
-    """Normalize an ``n_jobs`` knob to a concrete worker count.
-
-    ``None`` and ``1`` mean sequential; ``-1`` means one worker per CPU;
-    any other positive integer is taken literally.
-    """
-    if n_jobs is None:
-        return 1
-    n_jobs = int(n_jobs)
-    if n_jobs == -1:
-        return os.cpu_count() or 1
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1 or -1 (all cores), got {n_jobs}")
-    return n_jobs
-
 
 class SolvePhases:
-    """Thread-safe wall-clock accumulator for the three solve phases.
+    """Wall-clock accumulator for the three solve phases.
 
     *assembly* — distance/variogram kernels and system construction;
     *factorize* — fresh LAPACK factorizations (``gesv`` / batched solve);
     *backsolve* — cached-factor triangular solves plus per-query weight,
-    estimate and variance extraction.  Thread-pool workers add to one
-    shared accumulator, so the split stays exact for every ``n_jobs``.
+    estimate and variance extraction.
     """
 
-    __slots__ = ("assembly", "factorize", "backsolve", "_lock")
+    __slots__ = ("assembly", "factorize", "backsolve")
 
     def __init__(self) -> None:
         self.assembly = 0.0
         self.factorize = 0.0
         self.backsolve = 0.0
-        self._lock = threading.Lock()
 
     def add(
         self,
@@ -102,14 +79,12 @@ class SolvePhases:
         factorize: float = 0.0,
         backsolve: float = 0.0,
     ) -> None:
-        with self._lock:
-            self.assembly += assembly
-            self.factorize += factorize
-            self.backsolve += backsolve
+        self.assembly += assembly
+        self.factorize += factorize
+        self.backsolve += backsolve
 
     def totals(self) -> tuple[float, float, float]:
-        with self._lock:
-            return (self.assembly, self.factorize, self.backsolve)
+        return (self.assembly, self.factorize, self.backsolve)
 
 
 @dataclass(frozen=True)
@@ -457,19 +432,6 @@ def ordinary_kriging_batch(
 # ---------------------------------------------------------------------------
 # Stacked batched factorization
 # ---------------------------------------------------------------------------
-def _size_bins(sizes: Sequence[int]) -> list[list[int]]:
-    """Group indices binned by raw support size, in first-encounter order.
-
-    :func:`ordinary_kriging_grouped` solves whole bins, serially or one per
-    thread task, so bin composition — and with it every stacked slice's
-    arithmetic — is independent of ``n_jobs``.
-    """
-    bins: "OrderedDict[int, list[int]]" = OrderedDict()
-    for idx, size in enumerate(sizes):
-        bins.setdefault(int(size), []).append(idx)
-    return list(bins.values())
-
-
 def _solve_stack(
     members: list[tuple[int, _PreparedGroup]],
     variogram: Variogram,
@@ -546,7 +508,7 @@ def _solve_stack(
                 )
 
 
-def solve_groups_stacked(
+def ordinary_kriging_grouped(
     groups: Sequence[KrigingGroup],
     variogram: Variogram,
     *,
@@ -554,13 +516,38 @@ def solve_groups_stacked(
     factors: "Sequence[GammaFactor | None] | None" = None,
     phases: SolvePhases | None = None,
 ) -> list[list[KrigingResult]]:
-    """Solve many groups, stacking same-size systems into batched calls.
+    """Solve many independent shared-support kriging groups.
 
-    Per-group semantics (dedup, exact hits, residual checks, factor reuse)
-    are identical to :func:`ordinary_kriging_batch` — groups with a usable
-    cached factor take the factor path per group; the rest are binned by
-    support size and each bin is factorized as one 3-D batched solve.
+    Each group is a ``(support_points, support_values, queries)`` triple
+    with the semantics of :func:`ordinary_kriging_batch` (dedup, exact hits,
+    residual checks).  A group handed a cached factor of its support takes
+    the factor path; the rest are binned by support size, in first-encounter
+    order, and each bin is factorized as one 3-D batched solve.  Results
+    stay within the engine's ~1e-9 equivalence envelope of a per-group
+    :func:`ordinary_kriging_batch` loop.
+
+    Parameters
+    ----------
+    groups:
+        Shared-support groups, each ``(points, values, queries)`` as in
+        :func:`ordinary_kriging_batch`.
+    variogram, metric:
+        As in :func:`ordinary_kriging`.
+    factors:
+        Optional per-group cached factorizations, aligned with ``groups``
+        (``None`` entries solve fresh).
+    phases:
+        Optional :class:`SolvePhases` accumulator.
+
+    Returns
+    -------
+    list[list[KrigingResult]]
+        Per-group result lists, in group order.
     """
+    if factors is not None and len(factors) != len(groups):
+        raise ValueError(
+            f"factors length {len(factors)} != groups length {len(groups)}"
+        )
     results: list[list[KrigingResult] | None] = [None] * len(groups)
     stacks: "OrderedDict[int, list[tuple[int, _PreparedGroup]]]" = OrderedDict()
     for idx, (points, values, queries) in enumerate(groups):
@@ -586,101 +573,6 @@ def solve_groups_stacked(
     for members in stacks.values():
         _solve_stack(members, variogram, metric, results, phases)
     return results  # type: ignore[return-value]
-
-
-def _scatter(
-    bins: list[list[int]], parts: Sequence[list[list[KrigingResult]]], total: int
-) -> list[list[KrigingResult]]:
-    """Reassemble per-bin result lists into original group order."""
-    out: list[list[KrigingResult] | None] = [None] * total
-    for bin_indices, part in zip(bins, parts):
-        for idx, group_results in zip(bin_indices, part):
-            out[idx] = group_results
-    return out  # type: ignore[return-value]
-
-
-def ordinary_kriging_grouped(
-    groups: Sequence[KrigingGroup],
-    variogram: Variogram,
-    *,
-    metric: DistanceMetric | str = DistanceMetric.L1,
-    n_jobs: int | None = 1,
-    executor: Executor | None = None,
-    factors: "Sequence[GammaFactor | None] | None" = None,
-    phases: SolvePhases | None = None,
-) -> list[list[KrigingResult]]:
-    """Solve many independent shared-support kriging groups, optionally in
-    parallel.
-
-    Each group is a ``(support_points, support_values, queries)`` triple
-    with the semantics of :func:`ordinary_kriging_batch`.  Groups are binned
-    by support size and each bin is solved by :func:`solve_groups_stacked`
-    (same-size systems factorized as one batched LAPACK call), serially or,
-    with ``n_jobs > 1``, one bin per thread-pool task: the support
-    arrays are shared zero-copy and the heavy steps (LAPACK factorizations,
-    BLAS back-substitutions, the numpy distance/variogram kernels) release
-    the GIL.
-
-    Results are **deterministic and identical** for every ``n_jobs``: bins
-    are computed before dispatch and every bin's arithmetic happens on a
-    single worker in a fixed order, so scheduling cannot change a single
-    bit of the output — parallelism is purely a wall-clock knob.  Against
-    a per-group :func:`ordinary_kriging_batch` loop the results stay within
-    the engine's ~1e-9 equivalence envelope.
-
-    Parameters
-    ----------
-    groups:
-        Shared-support groups, each ``(points, values, queries)`` as in
-        :func:`ordinary_kriging_batch`.
-    variogram, metric:
-        As in :func:`ordinary_kriging`.  The variogram callable must be
-        thread-safe (the fitted models are pure array functions).
-    n_jobs:
-        Workers: ``1``/``None`` sequential, ``-1`` one per CPU.
-    executor:
-        Optional pre-built thread pool to run on.  Callers issuing many
-        grouped solves (the batch engine flushes before every simulation)
-        pass a long-lived pool so each flush does not pay executor
-        spawn/join; without one, a temporary pool is created per call.
-    factors:
-        Optional per-group cached factorizations, aligned with ``groups``
-        (``None`` entries solve fresh).
-    phases:
-        Optional :class:`SolvePhases` accumulator.
-
-    Returns
-    -------
-    list[list[KrigingResult]]
-        Per-group result lists, in group order.
-    """
-    if factors is not None and len(factors) != len(groups):
-        raise ValueError(
-            f"factors length {len(factors)} != groups length {len(groups)}"
-        )
-    workers = min(resolve_n_jobs(n_jobs), len(groups))
-    # One task per same-size bin: the bin *is* the batched-solve unit, and
-    # solving it whole keeps stacked arithmetic independent of the worker
-    # count.
-    bins = _size_bins([np.shape(g[0])[0] for g in groups])
-
-    def run_bin(bin_indices: list[int]) -> list[list[KrigingResult]]:
-        return solve_groups_stacked(
-            [groups[j] for j in bin_indices],
-            variogram,
-            metric=metric,
-            factors=[factors[j] for j in bin_indices] if factors is not None else None,
-            phases=phases,
-        )
-
-    if workers <= 1:
-        parts = [run_bin(b) for b in bins]
-    elif executor is not None:
-        parts = list(executor.map(run_bin, bins))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_bin, bins))
-    return _scatter(bins, parts, len(groups))
 
 
 def simple_kriging(

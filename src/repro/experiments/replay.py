@@ -67,10 +67,9 @@ class ReplayStats:
     """Streamed ``(probability, support-size quantile)`` pairs from the
     estimator's P² sketch (empty when nothing was interpolated)."""
     factor_reuse: tuple[tuple[str, int], ...] = ()
-    """Factorization-reuse counters (``hits`` / ``updates`` / ``fresh`` /
-    ``fallbacks`` ...) from the estimator's
-    :class:`~repro.core.factor_cache.FactorCacheStats`; all zeros when the
-    reuse layer was disabled."""
+    """Factorization-reuse counters (``hits``, ``fresh``, ``fallbacks``, ...)
+    from the estimator's :class:`~repro.core.factor_cache.FactorCacheStats`;
+    all zeros when the reuse layer was disabled."""
     solve_phases: tuple[tuple[str, float], ...] = ()
     """Cumulative solve-phase wall clock (``assembly_seconds`` /
     ``factorize_seconds`` / ``backsolve_seconds`` / ``n_flushes``) from the
@@ -146,7 +145,6 @@ def replay_trajectory(
     min_fit_points: int = 4,
     refit_interval: int | None = 1,
     interpolator: str = "ordinary",
-    n_jobs: int | None = 1,
     factor_cache: bool = True,
 ) -> ReplayStats:
     """Replay a recorded trajectory under the kriging policy.
@@ -168,9 +166,6 @@ def replay_trajectory(
         re-identify the variogram after every simulation (cheap at trajectory
         sizes) starting from the fourth, matching the paper's once-per-
         application identification as soon as data exists.
-    n_jobs:
-        Workers for the batch engine's shared-support group solves
-        (``-1``: one per CPU).  Results are identical for every setting.
     factor_cache:
         Enable the factorization-reuse layer (default on); the resulting
         :attr:`ReplayStats.factor_reuse` counters show how often it paid.
@@ -211,17 +206,13 @@ def replay_trajectory(
         min_fit_points=min_fit_points,
         refit_interval=refit_interval,
         interpolator=interpolator,
-        n_jobs=n_jobs,
         factor_cache=factor_cache,
     )
 
     # The whole trajectory goes through the batch engine: runs of
     # interpolations between simulations share one kriging factorization
-    # (identical outcomes to a per-query loop, far less work).  The
-    # estimator is closed afterwards so its solve pool never outlives the
-    # replay.
-    with estimator:
-        outcomes = estimator.evaluate_batch(configs)
+    # (identical outcomes to a per-query loop, far less work).
+    outcomes = estimator.evaluate_batch(configs)
     errors = [
         metric_kind.error(outcome.value, float(value))
         for outcome, value in zip(outcomes, values)
@@ -265,7 +256,6 @@ def replay_trace(
     min_fit_points: int = 4,
     refit_interval: int | None = 1,
     interpolator: str = "ordinary",
-    n_jobs: int | None = 1,
     factor_cache: bool = True,
 ) -> ReplayStats:
     """Convenience wrapper: replay an :class:`OptimizationTrace` directly."""
@@ -282,6 +272,5 @@ def replay_trace(
         min_fit_points=min_fit_points,
         refit_interval=refit_interval,
         interpolator=interpolator,
-        n_jobs=n_jobs,
         factor_cache=factor_cache,
     )

@@ -65,14 +65,11 @@ def rows_for_setup(
     distances: Sequence[float] = DISTANCES,
     nn_min: int = 1,
     variogram: object = "linear",
-    n_jobs: int | None = 1,
 ) -> list[Table1Row]:
     """Replay one benchmark's trajectory for each distance in the sweep.
 
     Trajectory recording (the expensive optimizer run with exhaustive
-    simulation) happens once; each distance is a cheap replay.  ``n_jobs``
-    parallelizes each replay's shared-support kriging solves (``-1``: one
-    worker per CPU) on a thread pool; rows are identical for every setting.
+    simulation) happens once; each distance is a cheap replay.
     """
     trace = setup.record_trajectory()
     rows = []
@@ -84,7 +81,6 @@ def rows_for_setup(
             distance=d,
             nn_min=nn_min,
             variogram=variogram,
-            n_jobs=n_jobs,
         )
         rows.append(
             Table1Row.from_stats(
@@ -103,7 +99,6 @@ def table1_rows(
     distances: Sequence[float] = DISTANCES,
     nn_min: int = 1,
     variogram: object = "linear",
-    n_jobs: int | None = 1,
 ) -> list[Table1Row]:
     """Reproduce Table I over the requested benchmarks.
 
@@ -120,7 +115,6 @@ def table1_rows(
                 distances=distances,
                 nn_min=nn_min,
                 variogram=variogram,
-                n_jobs=n_jobs,
-                )
+            )
         )
     return rows

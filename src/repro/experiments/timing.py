@@ -16,17 +16,11 @@ representative support size.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.kriging import (
-    ordinary_kriging,
-    ordinary_kriging_batch,
-    ordinary_kriging_grouped,
-    resolve_n_jobs,
-)
+from repro.core.kriging import ordinary_kriging, ordinary_kriging_batch
 from repro.core.models import LinearVariogram
 
 __all__ = [
@@ -34,7 +28,6 @@ __all__ = [
     "project_speedup",
     "measure_kriging_time",
     "measure_batch_kriging_time",
-    "measure_grouped_kriging_time",
     "measure_simulation_time",
     "PAPER_SIMULATION_TIMES",
 ]
@@ -173,51 +166,6 @@ def measure_batch_kriging_time(
     for _ in range(repetitions):
         ordinary_kriging_batch(points, values, queries, variogram)
     return (time.perf_counter() - start) / (repetitions * n_queries)
-
-
-def measure_grouped_kriging_time(
-    *,
-    n_groups: int = 64,
-    n_support: int = 24,
-    n_queries: int = 8,
-    num_variables: int = 10,
-    repetitions: int = 5,
-    n_jobs: int | None = 1,
-    seed: int = 0,
-) -> float:
-    """Mean wall-clock seconds *per query* of a grouped, optionally parallel
-    solve.
-
-    Measures :func:`~repro.core.kriging.ordinary_kriging_grouped` over
-    ``n_groups`` independent shared-support groups — the shape of work the
-    batch engine's flush produces on a sweep that visits many neighbourhoods
-    — so the ``n_jobs`` scaling of the group-parallel thread path can be
-    compared against the sequential grouped cost (``n_jobs=1``).
-    """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if n_groups < 1:
-        raise ValueError(f"n_groups must be >= 1, got {n_groups}")
-    rng = np.random.default_rng(seed)
-    groups = []
-    for _ in range(n_groups):
-        points = rng.integers(4, 16, size=(n_support, num_variables)).astype(float)
-        values = rng.normal(-60.0, 5.0, size=n_support)
-        queries = rng.integers(4, 16, size=(n_queries, num_variables)).astype(float)
-        groups.append((points, values, queries))
-    variogram = LinearVariogram(1.0)
-
-    # One long-lived pool across warm-up and repetitions (as the estimator
-    # keeps one per instance): without it every call would rebuild the
-    # executor and the measurement would partly time pool startup.
-    with ThreadPoolExecutor(max_workers=resolve_n_jobs(n_jobs)) as executor:
-        ordinary_kriging_grouped(groups, variogram, n_jobs=n_jobs, executor=executor)
-        start = time.perf_counter()
-        for _ in range(repetitions):
-            ordinary_kriging_grouped(
-                groups, variogram, n_jobs=n_jobs, executor=executor
-            )
-        return (time.perf_counter() - start) / (repetitions * n_groups * n_queries)
 
 
 def measure_simulation_time(simulate, configuration, *, repetitions: int = 3) -> float:

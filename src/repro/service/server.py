@@ -57,6 +57,8 @@ from repro.service.session import EstimatorSession, check_name, load_snapshot, m
 __all__ = ["JsonLineServer", "KrigingService", "ServiceError", "run_server"]
 
 #: Estimator constructor keywords ``create_session`` forwards verbatim.
+#: Other keys, such as ``backend`` and ``n_jobs`` from older clients, are
+#: ignored.
 ESTIMATOR_KEYS = (
     "distance",
     "nn_min",
@@ -68,7 +70,6 @@ ESTIMATOR_KEYS = (
     "max_variance",
     "interpolator",
     "neighbor_index",
-    "n_jobs",
     "factor_cache",
 )
 
@@ -543,20 +544,12 @@ class KrigingService(JsonLineServer):
             )
         return path
 
-    async def _register(self, session: EstimatorSession, replace: bool) -> None:
-        existing = self.sessions.get(session.name)
-        if existing is not None:
-            if not replace:
-                raise ServiceError(
-                    "SessionExists",
-                    f"session {session.name!r} exists (pass replace=true to swap)",
-                )
-            # Claim the name first so concurrent replaces cannot both close
-            # the same session; close() can wait on in-flight pool work, so
-            # it runs off the event loop.
-            self.sessions[session.name] = session
-            await asyncio.to_thread(existing.close)
-            return
+    def _register(self, session: EstimatorSession, replace: bool) -> None:
+        if session.name in self.sessions and not replace:
+            raise ServiceError(
+                "SessionExists",
+                f"session {session.name!r} exists (pass replace=true to swap)",
+            )
         self.sessions[session.name] = session
 
     # -- request accounting --------------------------------------------
@@ -638,7 +631,7 @@ class KrigingService(JsonLineServer):
             queue_wait_hist=self._queue_wait_hist,
             flush_wait_hist=self._flush_wait_hist,
         )
-        await self._register(session, bool(request.get("replace", False)))
+        self._register(session, bool(request.get("replace", False)))
         return {
             "session": name,
             "num_variables": nv,
@@ -808,7 +801,7 @@ class KrigingService(JsonLineServer):
             session = await asyncio.to_thread(rebuild)
         except FileNotFoundError as exc:
             raise ServiceError("UnknownSnapshot", str(exc)) from exc
-        await self._register(session, bool(request.get("replace", False)))
+        self._register(session, bool(request.get("replace", False)))
         return {
             "session": session.name,
             "path": str(path),
@@ -818,10 +811,9 @@ class KrigingService(JsonLineServer):
     async def _op_delete_session(self, request: dict) -> dict:
         session = self._session(request)
         # Drain the batcher first so no coalesced request is dropped, then
-        # unregister; close() may wait on pool work, so off the loop.
+        # unregister.
         await session.batcher.drain()
         self.sessions.pop(session.name, None)
-        await asyncio.to_thread(session.close)
         return {"session": session.name, "deleted": True}
 
     async def _op_shutdown(self, request: dict) -> dict:
@@ -855,8 +847,6 @@ class KrigingService(JsonLineServer):
             with contextlib.suppress(Exception):
                 await self._metrics_http.wait_closed()
             self._metrics_http = None
-        for session in self.sessions.values():
-            session.close()
 
 
 def run_server(

@@ -401,8 +401,7 @@ class EstimatorSession:
 
         The simulate callable is rebuilt from the stored simulator spec;
         ``overrides`` forward to
-        :meth:`~repro.core.estimator.KrigingEstimator.from_state` (e.g.
-        ``n_jobs`` for different hardware).
+        :meth:`~repro.core.estimator.KrigingEstimator.from_state`.
         """
         spec = state["simulator"]
         num_variables = int(state["estimator"]["cache"]["num_variables"])
@@ -427,7 +426,3 @@ class EstimatorSession:
     def restore(cls, path: object, **kwargs: object) -> "EstimatorSession":
         """Load a snapshot file into a fresh session."""
         return cls.from_state(load_snapshot(path), **kwargs)
-
-    def close(self) -> None:
-        """Release the estimator's solve executor (idempotent)."""
-        self.estimator.close()

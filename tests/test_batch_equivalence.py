@@ -6,10 +6,9 @@ simulate/interpolate decisions, same final cache contents.  Verified here
 over two real workloads (FIR and SqueezeNet recorded trajectories — one
 minplusone word-length problem, one descent sensitivity problem) plus
 synthetic stress cases (variogram refitting, universal kriging,
-max_neighbors caps).  The performance knobs layered on top — ``n_jobs``
-(thread-pool group solves) and ``factor_cache`` (factorization reuse) —
-must never change outcomes; each is exercised here against the sequential
-reference.
+max_neighbors caps).  The performance knob layered on top —
+``factor_cache`` (factorization reuse) — must never change outcomes; it is
+exercised here against the sequential reference.
 """
 
 import numpy as np
@@ -28,11 +27,8 @@ def _make_pair(simulate, nv, **kwargs):
 
 def assert_equivalent(configs, simulate, nv, **kwargs):
     sequential, batched = _make_pair(simulate, nv, **kwargs)
-    # Context-managed so a parallel estimator's thread pool never outlives
-    # its test.
-    with sequential, batched:
-        seq_out = [sequential.evaluate(config) for config in configs]
-        bat_out = batched.evaluate_batch(configs)
+    seq_out = [sequential.evaluate(config) for config in configs]
+    bat_out = batched.evaluate_batch(configs)
 
     assert [o.interpolated for o in seq_out] == [o.interpolated for o in bat_out]
     assert [o.exact_hit for o in seq_out] == [o.exact_hit for o in bat_out]
@@ -90,26 +86,6 @@ def test_workload_trajectory_equivalence(name, distance):
     assert any(not o.interpolated for o in outcomes)
 
 
-@pytest.mark.parametrize("name", ["fir", "squeezenet"])
-@pytest.mark.parametrize("n_jobs", [2, -1])
-def test_workload_parallel_equivalence(name, n_jobs):
-    """n_jobs > 1 must be decision- and value-identical to the sequential
-    path on the paper workloads (the parallel acceptance suite)."""
-    configs, lookup = _workload_configs(name)
-    outcomes = assert_equivalent(
-        configs,
-        lookup,
-        configs.shape[1],
-        distance=3,
-        nn_min=1,
-        variogram="auto",
-        min_fit_points=4,
-        refit_interval=1,
-        n_jobs=n_jobs,
-    )
-    assert any(o.interpolated for o in outcomes)
-
-
 @pytest.mark.parametrize("factor_cache", [True, False])
 def test_workload_equivalence_reuse_on_off(factor_cache):
     """The factorization-reuse layer is a pure performance knob: batch
@@ -127,28 +103,6 @@ def test_workload_equivalence_reuse_on_off(factor_cache):
         factor_cache=factor_cache,
     )
     assert any(o.interpolated for o in outcomes)
-
-
-@pytest.mark.parametrize("name", ["fir", "squeezenet"])
-def test_parallel_batch_bitwise_matches_sequential_batch(name):
-    """Group solves are scheduled, never re-ordered: n_jobs changes nothing,
-    down to the last bit and the streamed distribution sketch."""
-    configs, lookup = _workload_configs(name)
-    nv = configs.shape[1]
-    kwargs = dict(distance=3, variogram="auto", min_fit_points=4, refit_interval=1)
-    serial = KrigingEstimator(lookup, nv, n_jobs=1, **kwargs)
-    threaded = KrigingEstimator(lookup, nv, n_jobs=4, **kwargs)
-    out_serial = serial.evaluate_batch(configs)
-    out_threaded = threaded.evaluate_batch(configs)
-
-    assert [o.value for o in out_serial] == [o.value for o in out_threaded]
-    assert [o.variance for o in out_serial] == [o.variance for o in out_threaded]
-    assert [o.interpolated for o in out_serial] == [o.interpolated for o in out_threaded]
-    np.testing.assert_array_equal(serial.cache.points, threaded.cache.points)
-    assert (
-        serial.stats.neighbor_sketch.quantiles()
-        == threaded.stats.neighbor_sketch.quantiles()
-    )
 
 
 def _smooth_field(config):
@@ -211,8 +165,7 @@ def test_grouped_rejects_mismatched_factors():
         )
 
 
-@pytest.mark.parametrize("n_jobs", [1, 3])
-def test_grouped_matches_per_group_reference(n_jobs):
+def test_grouped_matches_per_group_reference():
     """The estimator's grouped (size-binned, stacked) solves against a
     per-group ``ordinary_kriging_batch`` reference over the same decisions:
     a twin estimator whose grouped solver is replaced by that loop must make
@@ -233,9 +186,9 @@ def test_grouped_matches_per_group_reference(n_jobs):
         distance=3, variogram="auto", min_fit_points=4, refit_interval=1,
         factor_cache=False,
     )
-    with KrigingEstimator(lookup, nv, n_jobs=n_jobs, **kwargs) as estimator:
-        out = estimator.evaluate_batch(configs)
-        cache_points = estimator.cache.points.copy()
+    estimator = KrigingEstimator(lookup, nv, **kwargs)
+    out = estimator.evaluate_batch(configs)
+    cache_points = estimator.cache.points.copy()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(estimator_module, "ordinary_kriging_grouped", per_group)
         reference = KrigingEstimator(lookup, nv, **kwargs)

@@ -1,4 +1,4 @@
-"""Tests for the benchmark regression gate's reuse fields and timing history.
+"""Tests for the query-engine regression gate and the timing history.
 
 ``benchmarks/`` is not a package; the module under test is loaded straight
 from its file path, exactly as CI invokes it.
@@ -18,7 +18,7 @@ check_regression = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(check_regression)
 
 
-def _report(reuse_speedup=3.0, batch_speedup=8.0):
+def _report(batch_speedup=8.0):
     return {
         "benchmark": "query_engine",
         "results": [
@@ -35,12 +35,6 @@ def _report(reuse_speedup=3.0, batch_speedup=8.0):
             "query_kdtree_seconds": 0.11,
             "speedup_kdtree_vs_brute": 1.5,
         },
-        "parallel": {"serial_seconds": 0.3, "parallel_seconds": 0.3},
-        "reuse": {
-            "reuse_fresh_seconds": 7.0,
-            "reuse_cached_seconds": 7.0 / reuse_speedup,
-            "speedup_reuse_vs_fresh": reuse_speedup,
-        },
         "stacked": {
             "pergroup_seconds": 0.40,
             "stacked_seconds": 0.30,
@@ -49,20 +43,26 @@ def _report(reuse_speedup=3.0, batch_speedup=8.0):
     }
 
 
-class TestReuseGate:
+class TestQueryEngineGate:
     def test_healthy_run_passes(self):
         assert check_regression.compare(_report(), _report(), factor=2.0) == []
 
-    def test_reuse_regression_fails(self):
+    def test_batch_regression_fails(self):
         failures = check_regression.compare(
-            _report(reuse_speedup=3.0), _report(reuse_speedup=1.2), factor=2.0
+            _report(batch_speedup=8.0), _report(batch_speedup=3.0), factor=2.0
         )
-        assert any("reuse.speedup_reuse_vs_fresh" in f for f in failures)
+        assert any("speedup_batch_vs_seed" in f for f in failures)
 
-    def test_baseline_without_reuse_section_tolerated(self):
-        """Older baselines predate the reuse section: no gate, no crash."""
+    def test_baseline_with_removed_sections_tolerated(self):
+        """Older baselines still carry the removed ``parallel`` and ``reuse``
+        sections: nothing gates them, and nothing crashes on them."""
         baseline = _report()
-        del baseline["reuse"]
+        baseline["parallel"] = {"serial_seconds": 0.3, "parallel_seconds": 0.3}
+        baseline["reuse"] = {
+            "reuse_fresh_seconds": 7.0,
+            "reuse_cached_seconds": 3.5,
+            "speedup_reuse_vs_fresh": 2.0,
+        }
         assert check_regression.compare(baseline, _report(), factor=2.0) == []
 
 
@@ -72,9 +72,9 @@ class TestHistory:
         assert entry["commit"] == "abc123"
         assert entry["machine"]["python"]
         assert entry["absolute_seconds"]["n2000.seed_seconds"] == 2.5
-        assert entry["absolute_seconds"]["reuse.reuse_fresh_seconds"] == 7.0
+        assert entry["absolute_seconds"]["l2_index.query_brute_seconds"] == 0.17
         assert entry["ratios"]["n2000.speedup_batch_vs_seed"] == 8.0
-        assert entry["ratios"]["reuse.speedup_reuse_vs_fresh"] == 3.0
+        assert entry["ratios"]["l2_index.speedup_kdtree_vs_brute"] == 1.5
 
     def test_append_creates_and_extends_jsonl(self, tmp_path):
         history = tmp_path / "BENCH_history.jsonl"

@@ -195,51 +195,6 @@ class TestGuards:
             KrigingEstimator(sim, 2, variogram="not-a-model")
 
 
-class TestLifecycle:
-    """close() must be idempotent and fire on __del__ so abandoned
-    estimators never leak solve threads (the service bugfix)."""
-
-    @staticmethod
-    def _field(config):
-        c = np.asarray(config, dtype=float)
-        return float(c.sum())
-
-    def _two_group_estimator(self):
-        est = KrigingEstimator(
-            self._field, 2, distance=2.0, variogram="linear", n_jobs=2
-        )
-        # Two far-apart clusters -> two shared-support groups in one flush
-        # -> the long-lived pool is created.
-        for x in range(3):
-            for y in range(3):
-                est.record_measurement([x, y], self._field([x, y]))
-                est.record_measurement([x + 50, y + 50], self._field([x + 50, y + 50]))
-        est.evaluate_batch([[0.5, 0.5], [0.6, 0.5], [50.5, 50.5], [50.6, 50.5]])
-        assert est._executor is not None
-        return est
-
-    def test_close_is_idempotent_and_estimator_stays_usable(self):
-        est = self._two_group_estimator()
-        pool = est._executor
-        est.close()
-        est.close()  # second close is a no-op
-        assert est._executor is None
-        assert pool._shutdown
-        # Still usable: the pool is rebuilt lazily on the next flush.
-        out = est.evaluate_batch([[0.5, 0.5], [0.7, 0.5], [50.5, 50.5], [50.7, 50.5]])
-        assert all(o.interpolated for o in out)
-        est.close()
-
-    def test_del_releases_the_pool(self):
-        import gc
-
-        est = self._two_group_estimator()
-        pool = est._executor
-        del est
-        gc.collect()
-        assert pool._shutdown
-
-
 class TestRecordMeasurementAndRefit:
     @staticmethod
     def _field(config):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.distances import cross_distances
 from repro.core.estimator import KrigingEstimator
-from repro.core.factor_cache import FactorCache, FactorCacheStats, GammaFactor
+from repro.core.factor_cache import FactorCache, FactorCacheStats
 from repro.core.kriging import _bordered_system, _solve
 from repro.core.models import ExponentialVariogram, LinearVariogram
 
@@ -47,40 +47,13 @@ class TestFactorSolve:
         reference = _reference_solution(points[factor.rows], VARIOGRAM, gamma_queries)
         np.testing.assert_allclose(solution, reference, rtol=1e-7, atol=1e-9)
 
-    def test_derived_factor_matches_plain_solver(self):
-        points, rng = _cloud(seed=1)
-        cache = FactorCache()
-        base_signature = _signature(rng, 80, 30)
-        cache.factor_for(base_signature, points, VARIOGRAM, "l1")
-
-        # Add two points, drop one: bridged by rank-1 edits, not refactorized.
-        target = set(base_signature)
-        added = sorted(set(range(80)) - target)[:2]
-        derived_signature = tuple(sorted((target - {base_signature[3]}) | set(added)))
-        factor = cache.factor_for(derived_signature, points, VARIOGRAM, "l1")
-        assert factor is not None
-        assert cache.stats.updates == 1
-        assert cache.stats.update_points == 3
-        assert cache.stats.fresh == 1  # only the base was factorized
-
-        queries = rng.uniform(0.0, 10.0, size=(5, 4))
-        gamma_queries = np.asarray(
-            VARIOGRAM(cross_distances(points[factor.rows], queries, "l1"))
-        )
-        solution = factor.solve(gamma_queries)
-        assert solution is not None
-        reference = _reference_solution(points[factor.rows], VARIOGRAM, gamma_queries)
-        np.testing.assert_allclose(solution, reference, rtol=1e-7, atol=1e-9)
-
     def test_factor_rows_are_signature_permutation(self):
         points, rng = _cloud(seed=2)
         cache = FactorCache()
-        base = _signature(rng, 80, 20)
-        cache.factor_for(base, points, VARIOGRAM, "l1")
-        extended = tuple(sorted(set(base) | set(_signature(rng, 80, 2))))
-        factor = cache.factor_for(extended, points, VARIOGRAM, "l1")
+        signature = _signature(rng, 80, 20)
+        factor = cache.factor_for(signature, points, VARIOGRAM, "l1")
         assert factor is not None
-        assert sorted(factor.rows.tolist()) == sorted(extended)
+        assert tuple(factor.rows.tolist()) == signature
 
 
 class TestCachePolicy:
@@ -93,6 +66,34 @@ class TestCachePolicy:
         assert second is first
         assert cache.stats.hits == 1
 
+    @pytest.mark.parametrize("change", ["add", "drop"])
+    def test_near_signature_is_fresh_factorization(self, change):
+        """A signature one point away from a cached one is factorized from
+        scratch: only exact signatures are reused."""
+        points, rng = _cloud(seed=1)
+        cache = FactorCache()
+        base = _signature(rng, 80, 30)
+        cache.factor_for(base, points, VARIOGRAM, "l1")
+        if change == "add":
+            extra = min(set(range(80)) - set(base))
+            near = tuple(sorted(set(base) | {extra}))
+        else:
+            near = base[1:]
+        factor = cache.factor_for(near, points, VARIOGRAM, "l1")
+        assert factor is not None
+        assert cache.stats.fresh == 2
+        assert cache.stats.hits == 0
+        assert cache.stats.updates == 0 and cache.stats.update_points == 0
+
+        queries = rng.uniform(0.0, 10.0, size=(5, 4))
+        gamma_queries = np.asarray(
+            VARIOGRAM(cross_distances(points[factor.rows], queries, "l1"))
+        )
+        solution = factor.solve(gamma_queries)
+        assert solution is not None
+        reference = _reference_solution(points[factor.rows], VARIOGRAM, gamma_queries)
+        np.testing.assert_allclose(solution, reference, rtol=1e-7, atol=1e-9)
+
     def test_min_support_bypass(self):
         points, rng = _cloud(seed=4)
         cache = FactorCache(min_support=8)
@@ -101,7 +102,7 @@ class TestCachePolicy:
 
     def test_lru_eviction(self):
         points, rng = _cloud(seed=5)
-        cache = FactorCache(capacity=2, max_update_points=0)
+        cache = FactorCache(capacity=2)
         signatures = [_signature(rng, 80, 10 + i) for i in range(3)]
         for signature in signatures:
             cache.factor_for(signature, points, VARIOGRAM, "l1")
@@ -121,27 +122,8 @@ class TestCachePolicy:
         cache.invalidate()
         assert len(cache) == 0
         assert cache.stats.invalidations == 1
-        assert cache._row_index == {} and cache._by_size == {} and cache._stamps == {}
         cache.factor_for(signature, points, VARIOGRAM, "l1")
         assert cache.stats.fresh == 2  # refactorized, not a hit
-
-    def test_inverted_index_tracks_store_hit_evict(self):
-        points, rng = _cloud(seed=11)
-        cache = FactorCache(capacity=3, max_update_points=0)
-        signatures = [_signature(rng, 80, 12 + i) for i in range(4)]
-        for signature in signatures:
-            cache.factor_for(signature, points, VARIOGRAM, "l1")
-        # Oldest evicted: its rows are gone from the inverted index.
-        assert signatures[0] not in cache._stamps
-        for row, sigs in cache._row_index.items():
-            assert all(sig in cache._entries for sig in sigs)
-            assert all(row in sig for sig in sigs)
-        for size, sigs in cache._by_size.items():
-            assert all(len(sig) == size and sig in cache._entries for sig in sigs)
-        # A hit refreshes the recency stamp.
-        before = cache._stamps[signatures[1]]
-        cache.factor_for(signatures[1], points, VARIOGRAM, "l1")
-        assert cache._stamps[signatures[1]] > before
 
     def test_rank_deficient_gamma_fails_and_is_memoized(self):
         """The piecewise-linear variogram on a dense 2-D lattice patch has a
@@ -161,8 +143,8 @@ class TestCachePolicy:
     def test_validation(self):
         with pytest.raises(ValueError, match="capacity"):
             FactorCache(capacity=0)
-        with pytest.raises(ValueError, match="max_update_points"):
-            FactorCache(max_update_points=-1)
+        with pytest.raises(TypeError, match="max_update_points"):
+            FactorCache(max_update_points=0)
 
 
 class TestEstimatorIntegration:
@@ -195,6 +177,42 @@ class TestEstimatorIntegration:
             if enabled:
                 assert estimator.stats.factor.requests > 0
         np.testing.assert_allclose(values[True], values[False], rtol=1e-9, atol=1e-12)
+
+    def test_growth_loop_cache_on_off_agree(self):
+        """A serve-mixed-shaped session: reads over a fixed exponential
+        variogram with one write in ten.  Writes change neighbourhoods, so
+        the cache mixes exact hits with fresh factorizations; estimates
+        must match the cache-off run to 1e-9."""
+        rng = np.random.default_rng(17)
+        centers = rng.uniform(1.0, 7.0, size=(6, 3))
+        ops = []
+        for step in range(300):
+            if step % 10 == 9:
+                ops.append(("write", rng.uniform(1.0, 7.0, size=3)))
+            else:
+                # Reads cluster on a few centres so signatures repeat
+                # between writes, as pipelined clients' reads do.
+                center = centers[int(rng.integers(0, len(centers)))]
+                ops.append(("read", center + rng.uniform(-0.05, 0.05, size=(4, 3))))
+
+        values = {}
+        stats = {}
+        for enabled in (True, False):
+            estimator, _ = self._seeded(
+                np.random.default_rng(17), variogram=VARIOGRAM, factor_cache=enabled
+            )
+            out = []
+            for kind, payload in ops:
+                if kind == "write":
+                    estimator.force_simulate(payload)
+                else:
+                    out.extend(o.value for o in estimator.evaluate_batch(payload))
+            values[enabled] = out
+            stats[enabled] = estimator.stats.factor
+        np.testing.assert_allclose(values[True], values[False], rtol=1e-9, atol=1e-12)
+        assert stats[True].hits > 0 and stats[True].fresh > 0
+        assert stats[True].updates == 0
+        assert stats[False].requests == 0
 
     def test_refit_invalidates_cached_factors(self):
         """A variogram refit must drop every cached factorization: with
@@ -259,7 +277,7 @@ class TestByteBudget:
         points, rng = _cloud(n=120, seed=14)
         # Each 40-point factor holds two 40x40 float64 blocks (~25.6 kB);
         # a 30 kB budget fits exactly one.
-        cache = FactorCache(capacity=64, max_bytes=30_000, max_update_points=0)
+        cache = FactorCache(capacity=64, max_bytes=30_000)
         first = _signature(rng, 120, 40)
         second = tuple(sorted(set(range(120)) - set(first)))[:40]
         cache.factor_for(first, points, VARIOGRAM, "l1")
@@ -300,99 +318,3 @@ class TestStatsPairsRoundtrip:
         rebuilt = FactorCacheStats.from_pairs(())
         assert rebuilt.requests == 0
         assert np.isnan(rebuilt.reuse_rate)
-
-
-class TestInvertedIndexEquivalence:
-    """The inverted row-signature index must pick exactly the factor the old
-    linear LRU scan picked — smallest symmetric difference, most recently
-    used on ties — including at capacities far beyond the default."""
-
-    @staticmethod
-    def _reference_closest(cache, signature):
-        """The pre-index implementation: a reversed scan of the whole LRU."""
-        limit = cache._update_limit(signature)
-        if limit == 0:
-            return None
-        target = frozenset(signature)
-        best = None
-        best_distance = limit + 1
-        for cached_signature, factor in reversed(cache._entries.items()):
-            distance = len(target.symmetric_difference(frozenset(cached_signature)))
-            if 0 < distance < best_distance:
-                best, best_distance = factor, distance
-                if distance <= 1:
-                    break
-        return best
-
-    @staticmethod
-    def _fake_factor(signature, cache):
-        """A solve-free stand-in: `_closest` only reads rows/identity."""
-        rows = np.asarray(signature, dtype=np.int64)
-        return GammaFactor(rows, np.zeros((2, 2)), 1.0, np.eye(2), stats=cache.stats)
-
-    def _populated(self, rng, *, capacity, n_rows, n_stored, sizes, **kwargs):
-        cache = FactorCache(capacity=capacity, **kwargs)
-        for _ in range(n_stored):
-            size = int(rng.integers(*sizes))
-            signature = tuple(sorted(rng.choice(n_rows, size=size, replace=False).tolist()))
-            if signature not in cache._entries:
-                cache._store(signature, self._fake_factor(signature, cache))
-        # Shuffle recency so MRU order differs from insertion order.
-        stored = list(cache._entries)
-        for signature in rng.permutation(len(stored))[: len(stored) // 2]:
-            key = stored[int(signature)]
-            cache._entries.move_to_end(key)
-            cache._touch(key)
-        return cache
-
-    def _queries(self, rng, cache, n_rows, n_queries):
-        stored = list(cache._entries)
-        queries = []
-        for _ in range(n_queries):
-            mode = rng.integers(0, 3)
-            if mode == 0 and stored:  # perturbation of a stored signature
-                base = set(stored[int(rng.integers(0, len(stored)))])
-                for row in rng.choice(n_rows, size=int(rng.integers(1, 6)), replace=False):
-                    base.symmetric_difference_update({int(row)})
-                if base:
-                    queries.append(tuple(sorted(base)))
-            elif mode == 1:  # small signature (exercises the disjoint path)
-                size = int(rng.integers(4, 7))
-                queries.append(
-                    tuple(sorted(rng.choice(n_rows, size=size, replace=False).tolist()))
-                )
-            else:  # unrelated random signature
-                size = int(rng.integers(8, 40))
-                queries.append(
-                    tuple(sorted(rng.choice(n_rows, size=size, replace=False).tolist()))
-                )
-        return queries
-
-    @pytest.mark.parametrize("max_update_points", [None, 24])
-    def test_capacity_512_matches_linear_scan(self, max_update_points):
-        rng = np.random.default_rng(42)
-        cache = self._populated(
-            rng,
-            capacity=512,
-            n_rows=300,
-            n_stored=700,  # forces evictions past capacity
-            sizes=(4, 40),
-            max_update_points=max_update_points,
-        )
-        assert len(cache) == 512
-        queries = self._queries(rng, cache, n_rows=300, n_queries=300)
-        for query in queries:
-            if query in cache._entries:
-                continue  # factor_for answers exact hits before _closest
-            assert cache._closest(query) is self._reference_closest(cache, query), query
-
-    def test_small_cache_matches_linear_scan(self):
-        rng = np.random.default_rng(7)
-        cache = self._populated(
-            rng, capacity=16, n_rows=60, n_stored=40, sizes=(4, 20),
-            max_update_points=30,
-        )
-        for query in self._queries(rng, cache, n_rows=60, n_queries=200):
-            if query in cache._entries:
-                continue
-            assert cache._closest(query) is self._reference_closest(cache, query), query

@@ -297,8 +297,8 @@ class TestIllConditionedFallback:
 
 
 class TestStackedGroupedSolve:
-    """solve_groups_stacked: same-size systems batched into one gesv call,
-    semantics identical to the per-group path."""
+    """ordinary_kriging_grouped: same-size systems batched into one gesv
+    call, semantics identical to the per-group path."""
 
     def _groups(self, rng, n_groups=10, sizes=(6, 9, 12), m=4, dim=3):
         groups = []
@@ -309,44 +309,21 @@ class TestStackedGroupedSolve:
             groups.append((pts, vals, grid_points(rng, m, dim)))
         return groups
 
-    @staticmethod
-    def _flat(results):
-        return [
-            (r.estimate, r.variance) for group in results for r in group
-        ]
-
-    def test_size_bins_first_encounter_order(self):
-        from repro.core.kriging import _size_bins
-
-        assert _size_bins([5, 7, 5, 3, 7, 5]) == [[0, 2, 5], [1, 4], [3]]
-        assert _size_bins([]) == []
-
     def test_stacked_matches_per_group_within_envelope(self, rng):
-        from repro.core.kriging import ordinary_kriging_batch, solve_groups_stacked
+        from repro.core.kriging import ordinary_kriging_batch, ordinary_kriging_grouped
 
         groups = self._groups(rng)
-        stacked = solve_groups_stacked(groups, VG)
+        stacked = ordinary_kriging_grouped(groups, VG)
         for (pts, vals, queries), group_results in zip(groups, stacked):
             reference = ordinary_kriging_batch(pts, vals, queries, VG)
             for got, ref in zip(group_results, reference):
                 assert got.estimate == pytest.approx(ref.estimate, abs=1e-9)
                 assert got.variance == pytest.approx(ref.variance, abs=1e-9)
 
-    @pytest.mark.parametrize("n_jobs", [1, 3])
-    def test_stacking_bitwise_across_n_jobs(self, rng, n_jobs):
-        """Bins are computed before dispatch: n_jobs cannot change a bit of
-        the stacked output."""
-        from repro.core.kriging import ordinary_kriging_grouped
-
-        groups = self._groups(rng, n_groups=12)
-        serial = ordinary_kriging_grouped(groups, VG, n_jobs=1)
-        other = ordinary_kriging_grouped(groups, VG, n_jobs=n_jobs)
-        assert self._flat(serial) == self._flat(other)
-
     def test_stacked_handles_exact_hits_and_duplicates(self, rng):
         """Duplicate support rows collapse before binning (groups bin by
         the *validated* size) and exact hits short-circuit per query."""
-        from repro.core.kriging import ordinary_kriging_batch, solve_groups_stacked
+        from repro.core.kriging import ordinary_kriging_batch, ordinary_kriging_grouped
 
         pts = np.unique(grid_points(rng, 12, 3), axis=0)[:8]
         vals = rng.normal(size=8)
@@ -357,7 +334,7 @@ class TestStackedGroupedSolve:
             (dup_pts, dup_vals, queries),
             (pts, vals, queries),  # same validated size: stacks together
         ]
-        stacked = solve_groups_stacked(groups, VG)
+        stacked = ordinary_kriging_grouped(groups, VG)
         for group_results in stacked:
             assert group_results[0].estimate == pytest.approx(vals[3])
             assert group_results[0].variance == 0.0
@@ -370,7 +347,7 @@ class TestStackedGroupedSolve:
         """One near-singular member must not poison its stack: that slice
         re-solves through the residual-checked fallback, the rest keep the
         batched solution."""
-        from repro.core.kriging import ordinary_kriging_batch, solve_groups_stacked
+        from repro.core.kriging import ordinary_kriging_batch, ordinary_kriging_grouped
 
         degenerate = np.asarray(
             [(0, 1), (0, 0), (1, 0), (1, 1), (2, 0)], dtype=float
@@ -380,16 +357,16 @@ class TestStackedGroupedSolve:
         vals_h = rng.normal(size=5)
         query = np.array([[4.5, 4.5]])
         groups = [(degenerate, vals_d, query), (healthy, vals_h, query)]
-        stacked = solve_groups_stacked(groups, VG)
+        stacked = ordinary_kriging_grouped(groups, VG)
         ref_d = ordinary_kriging_batch(degenerate, vals_d, query, VG)
         ref_h = ordinary_kriging_batch(healthy, vals_h, query, VG)
         assert stacked[0][0].estimate == pytest.approx(ref_d[0].estimate, abs=1e-6)
         assert stacked[1][0].estimate == pytest.approx(ref_h[0].estimate, abs=1e-9)
 
     def test_phase_timings_accumulate(self, rng):
-        from repro.core.kriging import SolvePhases, solve_groups_stacked
+        from repro.core.kriging import SolvePhases, ordinary_kriging_grouped
 
         phases = SolvePhases()
-        solve_groups_stacked(self._groups(rng), VG, phases=phases)
+        ordinary_kriging_grouped(self._groups(rng), VG, phases=phases)
         assembly, factorize, backsolve = phases.totals()
         assert assembly > 0.0 and factorize > 0.0 and backsolve > 0.0

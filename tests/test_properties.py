@@ -169,53 +169,15 @@ class TestPolicyInvariants:
 
 
 class TestLowRankInvariants:
-    """The factor-reuse layer's algebra: edited Cholesky factors must always
-    agree with refactorizing the edited matrix, and factored kriging solves
-    must match the plain solver wherever the factor path engages."""
-
-    spd_dims = st.integers(2, 24)
-
-    @settings(deadline=None, max_examples=25)
-    @given(spd_dims, st.integers(0, 2**31 - 1))
-    def test_update_downdate_roundtrip(self, n, seed):
-        from repro.core.lowrank import choldowndate, cholupdate
-
-        rng = np.random.default_rng(seed)
-        m = rng.normal(size=(n, n))
-        matrix = m @ m.T + n * np.eye(n)
-        chol = np.linalg.cholesky(matrix)
-        x = rng.normal(size=n)
-        updated = cholupdate(chol, x)
-        np.testing.assert_allclose(
-            updated @ updated.T, matrix + np.outer(x, x), rtol=1e-8, atol=1e-8
-        )
-        back = choldowndate(updated, x)
-        np.testing.assert_allclose(back, chol, rtol=1e-6, atol=1e-7)
-
-    @settings(deadline=None, max_examples=25)
-    @given(spd_dims, st.integers(0, 3), st.integers(0, 2**31 - 1))
-    def test_delete_matches_refactorization(self, n, index, seed):
-        from repro.core.lowrank import chol_delete
-
-        index = index % n
-        rng = np.random.default_rng(seed)
-        m = rng.normal(size=(n, n))
-        matrix = m @ m.T + n * np.eye(n)
-        shrunk = chol_delete(np.linalg.cholesky(matrix), index)
-        keep = [i for i in range(n) if i != index]
-        np.testing.assert_allclose(
-            shrunk,
-            np.linalg.cholesky(matrix[np.ix_(keep, keep)]),
-            rtol=1e-7,
-            atol=1e-7,
-        )
+    """The factor-reuse layer's algebra: factored kriging solves must match
+    the plain solver wherever the factor path engages."""
 
     @settings(deadline=None, max_examples=15)
     @given(st.integers(0, 2**31 - 1), st.integers(6, 20))
     def test_factored_estimates_match_plain_batch(self, seed, n_support):
-        """Derived factors (the cache walks from a base signature by rank-1
-        edits) must reproduce the plain grouped solve on continuous clouds,
-        where the shifted Gamma matrix is strictly PD."""
+        """A factor for a signature near a cached one (factorized fresh)
+        must reproduce the plain grouped solve on continuous clouds, where
+        the shifted Gamma matrix is strictly PD."""
         from repro.core.distances import cross_distances
         from repro.core.factor_cache import FactorCache
         from repro.core.kriging import ordinary_kriging_batch

@@ -105,6 +105,20 @@ class TestBasicVerbs:
 
         serve(body)
 
+    def test_removed_n_jobs_key_from_old_clients_ignored(self):
+        """Clients written against the thread-pool solve path still send
+        ``n_jobs``; the session is created on the one serial path and its
+        snapshot state no longer carries the key."""
+
+        async def body(client, service, host, port):
+            info = await client.create_session("jobs", n_jobs=2, **SESSION_KWARGS)
+            assert info["session"] == "jobs"
+            await client.simulate_many("jobs", _support().tolist())
+            assert (await client.evaluate("jobs", [1.5, 2.0, 3.0])).interpolated
+            assert "n_jobs" not in service.sessions["jobs"].estimator.to_state()
+
+        serve(body)
+
     def test_malformed_json_answered_with_protocol_error(self):
         async def body(client, service, host, port):
             reader, writer = await asyncio.open_connection(host, port)

@@ -175,8 +175,10 @@ class TestEstimatorState:
 
     def test_overrides_apply(self):
         est, _ = self._loaded(variogram="linear")
-        twin = KrigingEstimator.from_state(self._simulate, est.to_state(), n_jobs=2)
-        assert twin.n_jobs == 2
+        twin = KrigingEstimator.from_state(
+            self._simulate, est.to_state(), factor_cache=False
+        )
+        assert twin.factor_cache is None
 
     def test_version_guard(self):
         est, _ = self._loaded(variogram="linear")

@@ -5,10 +5,14 @@ compatibility contract: the current version round-trips the factor cache
 byte for byte and replays with **zero** fresh factorizations; a version-1
 snapshot restores cold *silently*; a corrupted factor section degrades to
 a cold restore with a warning instead of failing the load; an unknown
-version is rejected outright.
+version is rejected outright.  A snapshot written while the factor cache
+still bridged near signatures by rank-1 edits (``data/parent_v2_session.npz``:
+format v2, ``n_jobs=2``, factors in permuted row order) restores warm and
+answers as it did when written.
 """
 
 import json
+import pathlib
 import warnings
 import zipfile
 
@@ -18,9 +22,12 @@ import pytest
 from repro.core.estimator import KrigingEstimator
 from repro.service.session import (
     SNAPSHOT_VERSION,
+    EstimatorSession,
     load_snapshot,
     save_snapshot,
 )
+
+PARENT_SNAPSHOT = pathlib.Path(__file__).parent / "data" / "parent_v2_session.npz"
 
 COEFFS = np.array([1.0, -2.0, 0.5, 0.25])
 
@@ -105,8 +112,8 @@ class TestCurrentVersion:
         assert _fresh_delta({**state, "factor_entries": None}, queries) > 0
 
     def test_two_restores_do_not_share_factors(self, tmp_path):
-        """Entries are copied per restore: rank-1 updates in one twin must
-        not leak into the other's factors."""
+        """Entries are copied per restore: work in one twin must not leak
+        into the other's factors."""
         _, path, queries = _warm_session(tmp_path)
         state = load_snapshot(path)["estimator"]
         twin_a = KrigingEstimator.from_state(_simulate, state)
@@ -118,7 +125,7 @@ class TestCurrentVersion:
         out_a = twin_a.evaluate_batch(queries)
         out_b = twin_b.evaluate_batch(queries)
         del out_a
-        # twin_b's factors are untouched by twin_a's updates: replaying the
+        # twin_b's factors are untouched by twin_a's work: replaying the
         # original queries stays warm and bitwise-stable.
         ref = KrigingEstimator.from_state(_simulate, load_snapshot(path)["estimator"])
         out_ref = ref.evaluate_batch(queries)
@@ -186,6 +193,50 @@ class TestPreviousVersion:
             [o.value for o in out], [o.value for o in expected], rtol=1e-9, atol=1e-12
         )
         np.testing.assert_array_equal(restored.cache.points, est.cache.points)
+
+    @staticmethod
+    def _parent_answers():
+        recorded = json.loads(PARENT_SNAPSHOT.with_suffix(".json").read_text())
+        return (
+            np.asarray(recorded["queries"]),
+            [float.fromhex(v) for v in recorded["values"]],
+            [float.fromhex(v) for v in recorded["variances"]],
+        )
+
+    def _assert_warm_replay(self, estimator):
+        queries, values, variances = self._parent_answers()
+        before = dict(estimator.stats.factor.as_pairs())
+        out = estimator.evaluate_batch(queries)
+        after = dict(estimator.stats.factor.as_pairs())
+        assert all(o.interpolated for o in out)
+        assert after["fresh"] == before["fresh"]  # every group is an exact hit
+        assert after["hits"] > before["hits"]
+        assert after["updates"] == before["updates"]
+        np.testing.assert_allclose([o.value for o in out], values, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(
+            [o.variance for o in out], variances, rtol=1e-9, atol=1e-9
+        )
+
+    def test_parent_v2_state_with_bridged_factors_restores_warm(self):
+        """The estimator state of a snapshot written with ``n_jobs=2`` and a
+        factor cache holding rank-1-derived factors: ``n_jobs`` is ignored,
+        the derived factors load under their sorted signatures, and the
+        recorded queries replay with zero fresh factorizations."""
+        state = load_snapshot(PARENT_SNAPSHOT)["estimator"]
+        assert state["version"] == 2 and state["n_jobs"] == 2
+        rows = [entry["rows"].tolist() for entry in state["factor_entries"]["entries"]]
+        assert any(r != sorted(r) for r in rows)  # bridged factors really are there
+        assert dict(map(tuple, state["stats"]["factor"]))["updates"] > 0
+
+        estimator = KrigingEstimator.from_state(_simulate, state)
+        assert "n_jobs" not in estimator.to_state()
+        assert len(estimator.factor_cache) == len(rows)
+        self._assert_warm_replay(estimator)
+
+    def test_parent_v2_snapshot_restores_as_session(self):
+        session = EstimatorSession.restore(PARENT_SNAPSHOT)
+        assert session.name == "parent"
+        self._assert_warm_replay(session.estimator)
 
     def test_unknown_version_rejected(self, tmp_path):
         _, path, _ = _warm_session(tmp_path)
