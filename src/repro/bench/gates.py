@@ -75,7 +75,7 @@ CLUSTER_SPEEDUP_FLOOR = 1.5
 STACKED_SPEEDUP_FLOOR = 1.2
 
 #: Report kinds the gate understands.
-KNOWN_BENCHMARKS = ("query_engine", "solve", "service", "cluster", "chaos")
+KNOWN_BENCHMARKS = ("query_engine", "service", "cluster", "chaos")
 
 
 class MalformedReport(Exception):
@@ -364,10 +364,9 @@ ROW_FIELDS = ("speedup_evaluate_vs_seed", "speedup_batch_vs_seed")
 #: Speedup fields gated in the ``l2_index`` section.
 L2_FIELDS = ("speedup_kdtree_vs_brute",)
 
-#: The solve-path gate, shared by the ``solve`` workload and the matching
-#: section embedded in the query-engine report: stacked batched
-#: factorization vs per-group solves.  Multi-core-guarded like the cluster
-#: floors, so on a small box the ratio is noted, not gated.
+#: The solve-path gate on the query-engine report's ``stacked`` section:
+#: stacked batched factorization vs per-group solves.  Multi-core-guarded
+#: like the cluster floors, so on a small box the ratio is noted, not gated.
 SOLVE_RATIO_GATES = (
     GuardedRatchetGate(
         "speedup_stacked_vs_pergroup",
@@ -383,13 +382,6 @@ GATE_SETS: dict[str, tuple] = {
         SectionRatchetGate("l2_index", L2_FIELDS),
     )
     + SOLVE_RATIO_GATES,
-    "solve": SOLVE_RATIO_GATES
-    + (
-        # Correctness on any hardware: a warm restore that refactorizes is
-        # a broken factor-cache snapshot, whatever the core count.
-        ValueGate(path=("warm_restore", "warm_fresh_factorizations"), expect=0),
-        SectionRatchetGate("warm_restore", ("speedup_warm_vs_cold",)),
-    ),
     "service": (
         # The batched-vs-unbatched ratio is recorded but not gated (like
         # thread scaling, it depends on the runner's core count).

@@ -73,17 +73,6 @@ _DEFS = (
         baseline="BENCH_query_engine.json",
     ),
     BenchmarkDef(
-        name="solve",
-        kind="solve",
-        module=f"{_WORKLOADS}.solve",
-        description=(
-            "Solve path: stacked vs per-group factorization, warm vs cold "
-            "factor-cache restore"
-        ),
-        gated=True,
-        baseline="BENCH_solve.json",
-    ),
-    BenchmarkDef(
         name="service",
         kind="service",
         module=f"{_WORKLOADS}.service",

@@ -15,8 +15,10 @@ Times a fixed interpolation-heavy sweep three ways at several support sizes:
   matrix once.
 
 Two sections ride along: ``l2_index`` (brute vs KD-tree radius queries
-under the L2 metric) and ``stacked`` (stacked vs per-group solves).  The
-sweep mimics a dense surface exploration (cf. ``experiments/figure1``):
+under the L2 metric) and ``stacked`` (a per-group ``ordinary_kriging_batch``
+loop vs ``ordinary_kriging_grouped``, which stacks same-size systems into
+one batched LAPACK call per size bin; both must answer bit-identically).
+The sweep mimics a dense surface exploration (cf. ``experiments/figure1``):
 query clusters jittered inside single lattice cells, so clusters share
 neighbourhoods and the batch path has real groups to exploit.
 """
@@ -35,8 +37,12 @@ from repro.bench.runner import SampleLog, measure
 from repro.bench.spec import WorkloadSpec
 from repro.core.distances import distances_to
 from repro.core.estimator import KrigingEstimator
-from repro.core.kriging import ordinary_kriging
-from repro.core.models import LinearVariogram
+from repro.core.kriging import (
+    ordinary_kriging,
+    ordinary_kriging_batch,
+    ordinary_kriging_grouped,
+)
+from repro.core.models import ExponentialVariogram, LinearVariogram
 from repro.core.neighborhood import find_neighbors
 
 NUM_VARIABLES = 5
@@ -50,6 +56,14 @@ ACCEPTANCE_N = 2000
 ACCEPTANCE_SPEEDUP = 5.0
 
 WORKLOAD_SEED = 0
+
+#: stacked section: many small same-size systems so batching the LAPACK
+#: calls (and dropping the per-group Python dispatch) dominates.
+STACKED_SEED = 12
+STACKED_VARIOGRAM = ExponentialVariogram(sill=25.0, range_=8.0)
+STACKED_GROUPS = 60
+STACKED_SIZES = (16, 24, 32)
+STACKED_QUERIES_PER_GROUP = 8
 
 SPEC = WorkloadSpec(
     name="query-engine",
@@ -253,6 +267,102 @@ def run_l2_index_benchmark(
     }
 
 
+# ----------------------------------------------------------------------
+# stacked: per-group factorization vs one batched call per size bin
+# ----------------------------------------------------------------------
+def _estimates(results: list) -> np.ndarray:
+    return np.asarray(
+        [r.estimate for group in results for r in group], dtype=np.float64
+    )
+
+
+def _reference_pool(rng: np.random.Generator, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """A shared support pool the groups index into (the cache's role)."""
+    seen = set()
+    while len(seen) < n_points:
+        seen.add(tuple(int(x) for x in rng.integers(0, 12, size=NUM_VARIABLES)))
+    points = np.asarray(sorted(seen), dtype=np.float64)
+    rng.shuffle(points)
+    values = np.array([_field(p) for p in points])
+    return points, values
+
+
+def _indexed_groups(
+    rng: np.random.Generator,
+    points: np.ndarray,
+    n_groups: int,
+    sizes: tuple[int, ...],
+    queries_per_group: int,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Row-index supports plus jittered query clusters, per group."""
+    supports: list[np.ndarray] = []
+    queries_list: list[np.ndarray] = []
+    for g in range(n_groups):
+        size = sizes[g % len(sizes)]
+        rows = rng.choice(points.shape[0], size=size, replace=False).astype(np.int64)
+        center = points[rows[0]]
+        queries = center[None, :] + rng.uniform(
+            0.05, 0.45, size=(queries_per_group, NUM_VARIABLES)
+        )
+        supports.append(rows)
+        queries_list.append(queries)
+    return supports, queries_list
+
+
+def run_stacked_benchmark(
+    n_groups: int = STACKED_GROUPS,
+    sizes: tuple[int, ...] = STACKED_SIZES,
+    n_queries: int = STACKED_QUERIES_PER_GROUP,
+    repetitions: int = 3,
+    samples: SampleLog | None = None,
+) -> dict:
+    """Per-group ``ordinary_kriging_batch`` loop versus the serial grouped
+    solve (no factor cache).
+
+    Every group's bordered system is regular on this workload, so the
+    grouped path really does run one batched ``numpy.linalg.solve`` per
+    size bin; the two variants must agree bit for bit (the batched call
+    loops the same LAPACK routine over the stack).
+    """
+    rng = np.random.default_rng(STACKED_SEED)
+    points, values = _reference_pool(rng, 1024)
+    supports, queries_list = _indexed_groups(rng, points, n_groups, sizes, n_queries)
+    groups = [
+        (points[rows], values[rows], queries)
+        for rows, queries in zip(supports, queries_list)
+    ]
+
+    def _per_group():
+        return [
+            ordinary_kriging_batch(points, values, queries, STACKED_VARIOGRAM, metric="l1")
+            for points, values, queries in groups
+        ]
+
+    def _stacked():
+        return ordinary_kriging_grouped(groups, STACKED_VARIOGRAM, metric="l1")
+
+    _stacked()  # warm-up: allocator + BLAS regime hot before timing
+    timings = {}
+    timings["per_group"], out_per_group = _time(
+        _per_group, repetitions=repetitions, samples=samples, label="stacked.per_group"
+    )
+    timings["stacked"], out_stacked = _time(
+        _stacked, repetitions=repetitions, samples=samples, label="stacked.stacked"
+    )
+    np.testing.assert_array_equal(_estimates(out_per_group), _estimates(out_stacked))
+    return {
+        "n_groups": n_groups,
+        "group_sizes": list(sizes),
+        "n_queries_per_group": n_queries,
+        "per_group_seconds": round(timings["per_group"], 6),
+        "stacked_seconds": round(timings["stacked"], 6),
+        "speedup_stacked_vs_pergroup": round(
+            timings["per_group"] / timings["stacked"], 2
+        ),
+        "bitwise_equal": True,
+    }
+
+
 def run_benchmark(
     support_sizes=SUPPORT_SIZES,
     n_queries: int = N_QUERIES,
@@ -309,14 +419,9 @@ def run_benchmark(
     l2 = run_l2_index_benchmark(
         n_queries=n_queries, repetitions=repetitions, samples=samples
     )
-    # The stacked-vs-per-group solve section rides along at reduced scale;
-    # the dedicated ``solve`` workload runs it full-size.  Its ratio gates
+    # The stacked-vs-per-group solve section; its ratio gates
     # multi-core-guarded, like the cluster floor.
-    from repro.bench.workloads.solve import run_stacked_benchmark
-
-    stacked = run_stacked_benchmark(
-        n_groups=60, repetitions=repetitions, samples=samples
-    )
+    stacked = run_stacked_benchmark(repetitions=repetitions, samples=samples)
     report = {
         "benchmark": "query_engine",
         "workload": {

@@ -13,8 +13,8 @@ session, four ways —
 * ``concurrent_batched``  — all clients in flight through the
   micro-batcher: concurrent requests coalesce into shared
   ``evaluate_batch`` flushes, so clients working near the same lattice
-  cells share one bordered-matrix factorization (and the factor cache's
-  rank-1 bridges) instead of paying one solve each.
+  cells share one bordered-matrix factorization instead of paying one
+  solve each.
 * ``open_loop``           — the batched path under *open-loop* load: each
   client issues its stream on a fixed arrival schedule
   (:func:`repro.bench.runner.paced_arrivals`), and every latency is
@@ -346,21 +346,17 @@ def run_snapshot_roundtrip(
         and np.array_equal(states[0]["estimator"]["cache"]["values"], s["estimator"]["cache"]["values"])
         for s in states[1:]
     )
-    # Two cold restores answer the probes bit-identically; the original
-    # (warm factor cache) agrees within the engine's envelope.
+    # Two restores answer the probes bit-identically; the original (whose
+    # factor cache is warm) agrees within the engine's envelope.
     out_a = [o.value for o in client.evaluate_many("restore_a", probes)]
     out_b = [o.value for o in client.evaluate_many("restore_b", probes)]
     out_orig = [o.value for o in client.evaluate_many(session, probes)]
     restored_bitwise = out_a == out_b
     np.testing.assert_allclose(out_orig, out_a, rtol=1e-9, atol=1e-12)
-    # Compare the JSON manifests only: the cache and factor-cache sections
-    # are array payloads (and re-snapshotting a restored session rebuilds
-    # its factors from scratch, so they may legitimately differ).
-    _payload_keys = ("cache", "factor_entries")
-
+    # Compare the JSON manifests only: the cache section holds the arrays.
     def _manifest(state):
         return json.dumps(
-            {k: v for k, v in state["estimator"].items() if k not in _payload_keys},
+            {k: v for k, v in state["estimator"].items() if k != "cache"},
             sort_keys=True,
         )
 

@@ -41,7 +41,6 @@ from repro.experiments.registry import (
 )
 from repro.experiments.replay import MetricKind, replay_trace
 from repro.experiments.reporting import (
-    format_factor_reuse,
     format_identification,
     format_neighbor_distribution,
     format_solve_phases,
@@ -382,7 +381,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         f"max_eps={stats.max_error:.4f} {unit} mu_eps={stats.mean_error:.4f} {unit}"
     )
     print(format_neighbor_distribution(stats))
-    print(format_factor_reuse(stats))
     print(format_solve_phases(stats))
     print(format_identification(stats))
     return 0

@@ -14,9 +14,9 @@ The package implements the full geostatistical pipeline of Section III:
    more than ``Nn_min`` previously *simulated* configurations within L1
    distance ``d`` is interpolated, anything else is simulated and added to
    the support cache;
-5. :mod:`~repro.core.factor_cache` — the factorization-reuse layer under
-   the batch engine: an LRU of Cholesky factors of the (shifted) Gamma
-   matrices, reused when a group's support-set signature matches exactly.
+5. :mod:`~repro.core.factor_cache` — the estimator's private, in-memory
+   LRU of Cholesky factors of the (shifted) Gamma matrices, reused when a
+   group's support-set signature matches exactly.
 """
 
 from repro.core.cache import SimulationCache
@@ -36,7 +36,6 @@ from repro.core.estimator import (
     KrigingEstimator,
     SolvePhaseStats,
 )
-from repro.core.factor_cache import FactorCache, FactorCacheStats, GammaFactor
 from repro.core.fitting import FittedVariogram, fit_variogram, select_variogram
 from repro.core.index import (
     BruteForceIndex,
@@ -100,9 +99,6 @@ __all__ = [
     "SimulationCache",
     "KrigingEstimator",
     "EstimationOutcome",
-    "FactorCache",
-    "FactorCacheStats",
-    "GammaFactor",
     "loo_cross_validate",
     "select_variogram_loo",
     "CrossValidationResult",

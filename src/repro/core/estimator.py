@@ -41,7 +41,6 @@ The query hot path is a vectorized engine with three layers:
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -100,24 +99,19 @@ class EstimationOutcome:
 
 @dataclass
 class SolvePhaseStats:
-    """Per-flush solve-phase timing of the batch engine.
+    """Cumulative solve-phase timing of the batch engine.
 
     Every grouped flush splits its wall clock into *assembly* (distance /
     variogram kernels and system construction), *factorize* (fresh LAPACK
     factorizations, including the stacked batched calls) and *backsolve*
-    (cached-factor triangular solves plus weight/variance extraction).
-    Cumulative seconds are exact; per-flush distributions stream into P²
-    sketches like the neighbour counts, so ``repro replay`` can print the
-    split in O(1) memory.
+    (cached-factor triangular solves plus weight/variance extraction);
+    ``repro replay`` prints the cumulative split.
     """
 
     assembly_seconds: float = 0.0
     factorize_seconds: float = 0.0
     backsolve_seconds: float = 0.0
     n_flushes: int = 0
-    assembly_sketch: QuantileSketch = field(default_factory=QuantileSketch)
-    factorize_sketch: QuantileSketch = field(default_factory=QuantileSketch)
-    backsolve_sketch: QuantileSketch = field(default_factory=QuantileSketch)
 
     def record_flush(
         self, assembly: float, factorize: float, backsolve: float
@@ -127,9 +121,6 @@ class SolvePhaseStats:
         self.assembly_seconds += assembly
         self.factorize_seconds += factorize
         self.backsolve_seconds += backsolve
-        self.assembly_sketch.update(assembly)
-        self.factorize_sketch.update(factorize)
-        self.backsolve_sketch.update(backsolve)
 
     @property
     def total_seconds(self) -> float:
@@ -151,21 +142,17 @@ class SolvePhaseStats:
             "factorize_seconds": self.factorize_seconds,
             "backsolve_seconds": self.backsolve_seconds,
             "n_flushes": self.n_flushes,
-            "assembly_sketch": self.assembly_sketch.to_state(),
-            "factorize_sketch": self.factorize_sketch.to_state(),
-            "backsolve_sketch": self.backsolve_sketch.to_state(),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "SolvePhaseStats":
+        """Rebuild from :meth:`to_state` output; the per-phase sketch keys
+        of older states are ignored."""
         return cls(
             assembly_seconds=float(state["assembly_seconds"]),
             factorize_seconds=float(state["factorize_seconds"]),
             backsolve_seconds=float(state["backsolve_seconds"]),
             n_flushes=int(state["n_flushes"]),
-            assembly_sketch=QuantileSketch.from_state(state["assembly_sketch"]),
-            factorize_sketch=QuantileSketch.from_state(state["factorize_sketch"]),
-            backsolve_sketch=QuantileSketch.from_state(state["backsolve_sketch"]),
         )
 
 
@@ -188,11 +175,10 @@ class EstimatorStats:
     kriging_seconds: float = 0.0
     factor: FactorCacheStats = field(default_factory=FactorCacheStats)
     """Factorization-reuse counters (hits / fresh solves / fallbacks) of
-    the estimator's :class:`~repro.core.factor_cache.FactorCache`; all
-    zeros when the reuse layer is disabled."""
+    the estimator's :class:`~repro.core.factor_cache.FactorCache`."""
     solve: SolvePhaseStats = field(default_factory=SolvePhaseStats)
-    """Per-flush assembly / factorize / backsolve wall-clock split of the
-    batch engine's grouped solves (cumulative seconds plus P² sketches)."""
+    """Cumulative assembly / factorize / backsolve wall-clock split of the
+    batch engine's grouped solves."""
     n_fits: int = 0
     """Variogram identifications made (each refit counts once)."""
     variogram_seconds: float = 0.0
@@ -336,13 +322,6 @@ class KrigingEstimator:
         lattice bucket index for L1/Linf, a KD-tree for L2), ``"bucket"``,
         ``"kdtree"`` or ``"brute"``.  Purely a performance knob: results are
         identical.
-    factor_cache:
-        The factorization-reuse layer: ``True`` (default) builds a
-        :class:`~repro.core.factor_cache.FactorCache`, ``False`` disables
-        reuse, or pass a pre-configured instance to tune its capacity and
-        byte budget.  Purely a performance knob: every reused solve is
-        residual-checked with a transparent fresh-solve fallback.  The
-        cache is invalidated whenever the variogram is (re)fitted.
     """
 
     def __init__(
@@ -360,7 +339,6 @@ class KrigingEstimator:
         max_variance: float | None = None,
         interpolator: str = "ordinary",
         neighbor_index: str = "auto",
-        factor_cache: bool | FactorCache = True,
     ) -> None:
         if distance < 0:
             raise ValueError(f"distance must be >= 0, got {distance}")
@@ -391,13 +369,7 @@ class KrigingEstimator:
             self.metric, num_variables, neighbor_index
         )
         self.stats = EstimatorStats()
-        if isinstance(factor_cache, FactorCache):
-            self.factor_cache: FactorCache | None = factor_cache
-            self.stats.factor = factor_cache.stats
-        else:
-            self.factor_cache = (
-                FactorCache(stats=self.stats.factor) if factor_cache else None
-            )
+        self._factor_cache = FactorCache(stats=self.stats.factor)
         self._variogram_spec = variogram
         self._min_fit_points = min_fit_points
         self._refit_interval = refit_interval
@@ -444,8 +416,7 @@ class KrigingEstimator:
             # Every cached factorization was built from the old variogram's
             # Gamma entries; reusing one now would interpolate against a
             # stale model.
-            if self.factor_cache is not None:
-                self.factor_cache.invalidate()
+            self._factor_cache.invalidate()
         assert self._fitted is not None
         return self._fitted
 
@@ -642,21 +613,12 @@ class KrigingEstimator:
             if self.interpolator == "universal":
                 singles.extend(items)
             else:
-                factor = (
-                    self.factor_cache.factor_for(
-                        signature, points, variogram, self.metric
-                    )
-                    if self.factor_cache is not None
-                    else None
+                factor = self._factor_cache.factor_for(
+                    signature, points, variogram, self.metric
                 )
-                # A factor's rows are a permutation of the signature (restored
-                # factors may be unsorted); feeding the support in factor
-                # order lets the solve reuse it as-is.
-                support = (
-                    factor.rows
-                    if factor is not None
-                    else np.asarray(signature, dtype=np.int64)
-                )
+                # A factor's rows are the sorted signature, so the support
+                # fed in signature order lets the solve reuse it as-is.
+                support = np.asarray(signature, dtype=np.int64)
                 queries = np.stack([config for _, config, _ in items])
                 batched.append(items)
                 groups.append((points[support], values[support], queries))
@@ -751,11 +713,8 @@ class KrigingEstimator:
         ``simulate`` callable and the neighbour index are **not**
         serialized: the first is supplied to :meth:`from_state`, the second
         is a derived performance layer rebuilt on restore (decisions and
-        cache contents never depend on it).  Since version 2 the factor
-        cache's entries *are* included (``factor_entries``) so a restored
-        estimator starts warm — purely a performance payload: a state
-        without it (an old snapshot, a corrupted section) restores cold
-        with identical decisions.
+        cache contents never depend on it).  Neither is the factor cache:
+        a restored estimator starts with it cold.
 
         Raises ``ValueError`` when the variogram spec is a custom callable
         (only :class:`~repro.core.models.VariogramModel` instances and kind
@@ -788,16 +747,10 @@ class KrigingEstimator:
             "max_variance": self._max_variance,
             "interpolator": self.interpolator,
             "neighbor_index": self._neighbor_index_kind,
-            "factor_cache": self.factor_cache is not None,
             "fitted": fitted.to_state() if fitted is not None else None,
             "fitted_at": self._fitted_at,
             "cache": self.cache.to_state(),
             "stats": self.stats.to_state(),
-            "factor_entries": (
-                self.factor_cache.to_state()
-                if self.factor_cache is not None
-                else None
-            ),
         }
 
     @classmethod
@@ -808,18 +761,15 @@ class KrigingEstimator:
 
         ``simulate`` re-binds the metric function (callables do not
         serialize); ``overrides`` replace constructor keywords — e.g.
-        ``factor_cache=False`` to restore without the reuse layer.
+        ``max_neighbors=8`` to cap the restored support size.
         The restored estimator makes bit-identical decisions and cache
         additions to the snapshotted one fed the same queries: cache rows,
         fitted model parameters and sketch markers all round-trip exactly.
 
-        Version-2 states additionally carry the factor cache's entries, so
-        the restored estimator's first flushes reuse the original's
-        factorizations instead of rebuilding them (warm start).  Version-1
-        states restore cold, silently; a malformed ``factor_entries``
-        section degrades to a cold restore with a warning instead of
-        failing the whole restore.  The ``n_jobs`` key of states written
-        before the thread pool was removed is ignored.
+        Version-1 and version-2 states both load, and the factor cache
+        always restores cold.  Keys that older states carry for the
+        persisted factor cache, its on/off switch and the removed thread
+        pool are ignored.
         """
         if state.get("version") not in (1, 2):
             raise ValueError(
@@ -841,7 +791,6 @@ class KrigingEstimator:
             "max_variance": state["max_variance"],
             "interpolator": state["interpolator"],
             "neighbor_index": state["neighbor_index"],
-            "factor_cache": state["factor_cache"],
         }
         kwargs.update(overrides)
         estimator = cls(simulate, int(state["cache"]["num_variables"]), **kwargs)
@@ -853,23 +802,6 @@ class KrigingEstimator:
             estimator._fitted = variogram_from_state(state["fitted"])
         estimator._fitted_at = int(state["fitted_at"])
         estimator.stats = EstimatorStats.from_state(state["stats"])
-        if estimator.factor_cache is not None:
-            # The factor cache and the stats view share one counter object.
-            estimator.factor_cache.stats = estimator.stats.factor
-            factor_entries = state.get("factor_entries")
-            if factor_entries is not None:
-                try:
-                    estimator.factor_cache.load_state(factor_entries)
-                except Exception as exc:
-                    # The warm-start payload is purely a performance layer:
-                    # a corrupted section must degrade to a cold restore,
-                    # never fail the whole restore.
-                    estimator.factor_cache.invalidate()
-                    estimator.stats.factor.invalidations -= 1  # not a refit
-                    warnings.warn(
-                        f"discarding corrupted factor-cache snapshot section "
-                        f"({exc}); restoring cold",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
+        # The factor cache and the stats view share one counter object.
+        estimator._factor_cache.stats = estimator.stats.factor
         return estimator

@@ -1,4 +1,4 @@
-"""LRU cache of Gamma-matrix Cholesky factorizations (the reuse layer).
+"""In-memory LRU cache of Gamma-matrix Cholesky factorizations.
 
 The batch engine factorizes one bordered Gamma matrix per shared-support
 group, and a serving session answers reads over the same support sets
@@ -21,6 +21,7 @@ against the *original* bordered system — a miss falls back to the plain
 LU/least-squares solver, so the reuse layer can never push results outside
 the batch engine's ~1e-9 equivalence envelope.  A variogram refit changes
 every Gamma entry, so the estimator invalidates the whole cache on refit.
+The cache is never serialized: a restored estimator starts with it cold.
 """
 
 from __future__ import annotations
@@ -113,12 +114,11 @@ class FactorCacheStats:
 class GammaFactor:
     """One cached factorization: ``chol @ chol.T ~= shift - gamma``.
 
-    ``rows`` are the support cache rows in *factor order*: the sorted
-    signature for factors built here, possibly a permutation of it for
-    factors restored from older snapshots.  Callers must feed support
-    points/values in this order; weights come back in it too.  ``gamma`` is
-    the unbordered Gamma matrix in the same order, kept so solves can be
-    residual-checked against the true system.
+    ``rows`` are the support cache rows in *factor order*, the sorted
+    signature.  Callers must feed support points/values in this order;
+    weights come back in it too.  ``gamma`` is the unbordered Gamma matrix
+    in the same order, kept so solves can be residual-checked against the
+    true system.
     """
 
     __slots__ = ("rows", "gamma", "shift", "chol", "ones_solve", "ones_sum", "stats")
@@ -292,72 +292,15 @@ class FactorCache:
             self._failed.add(signature)
             return None
         self.stats.fresh += 1
-        self.stats.evictions += self._insert(signature, fresh)
+        self._entries[signature] = fresh  # a miss: lands most recent
+        self._bytes += self._factor_bytes(fresh)
+        while len(self._entries) > 1 and (
+            len(self._entries) > self.capacity or self._bytes > self.max_bytes
+        ):
+            _, old = self._entries.popitem(last=False)
+            self._bytes -= self._factor_bytes(old)
+            self.stats.evictions += 1
         return fresh
-
-    # ------------------------------------------------------------------
-    # snapshot / restore
-    # ------------------------------------------------------------------
-    def to_state(self) -> dict:
-        """The cached factors as arrays, in LRU order (oldest first).
-
-        Each entry carries the support rows, the unbordered Gamma block, the
-        Cholesky factor and the shift — everything :class:`GammaFactor`
-        needs except the lazily derived ``A^-1 1`` memo.  Rides inside the
-        estimator/session snapshot so restore, cluster migration and
-        failover start *warm*: a restored session replaying its workload
-        refactorizes nothing.
-        """
-        return {
-            "version": 1,
-            "entries": [
-                {
-                    "rows": np.asarray(factor.rows, dtype=np.int64),
-                    "gamma": np.asarray(factor.gamma, dtype=np.float64),
-                    "chol": np.asarray(factor.chol, dtype=np.float64),
-                    "shift": float(factor.shift),
-                }
-                for factor in self._entries.values()
-            ],
-        }
-
-    def load_state(self, state: dict) -> int:
-        """Restore factors from :meth:`to_state` output; returns the count.
-
-        Every entry is validated (shapes, finiteness) before the first one
-        is inserted, so a corrupted snapshot raises ``ValueError`` and
-        leaves the cache cold rather than half-loaded.  Entries beyond the
-        cache's capacity/byte budget are trimmed oldest-first without
-        counting as runtime evictions — restore trimming is a sizing
-        artifact, not cache behaviour.
-        """
-        if int(state.get("version", -1)) != 1:
-            raise ValueError(
-                f"unsupported factor-cache state version {state.get('version')!r}"
-            )
-        loaded: list[GammaFactor] = []
-        for entry in state["entries"]:
-            # Copies, not views: one state dict may seed several restores
-            # (or be re-snapshot).
-            rows = np.array(entry["rows"], dtype=np.int64)
-            gamma = np.array(entry["gamma"], dtype=np.float64)
-            chol = np.array(entry["chol"], dtype=np.float64)
-            shift = float(entry["shift"])
-            n = rows.shape[0]
-            if rows.ndim != 1 or n == 0 or gamma.shape != (n, n) or chol.shape != (n, n):
-                raise ValueError("malformed factor-cache entry")
-            if not (
-                np.isfinite(shift)
-                and bool(np.all(np.isfinite(gamma)))
-                and bool(np.all(np.isfinite(chol)))
-            ):
-                raise ValueError("non-finite factor-cache entry")
-            loaded.append(GammaFactor(rows, gamma, shift, chol, stats=self.stats))
-        for factor in loaded:
-            # Older snapshots hold factors in a permuted row order; the key
-            # is the sorted signature either way.
-            self._insert(tuple(sorted(factor.rows.tolist())), factor)
-        return len(loaded)
 
     # ------------------------------------------------------------------
     # internals
@@ -365,21 +308,6 @@ class FactorCache:
     @staticmethod
     def _factor_bytes(factor: GammaFactor) -> int:
         return factor.gamma.nbytes + factor.chol.nbytes + factor.rows.nbytes
-
-    def _insert(self, signature: Signature, factor: GammaFactor) -> int:
-        """Insert ``factor`` as most recent and trim oldest entries to the
-        budgets; returns the number trimmed."""
-        self._entries[signature] = factor
-        self._entries.move_to_end(signature)
-        self._bytes += self._factor_bytes(factor)
-        trimmed = 0
-        while len(self._entries) > 1 and (
-            len(self._entries) > self.capacity or self._bytes > self.max_bytes
-        ):
-            _, old = self._entries.popitem(last=False)
-            self._bytes -= self._factor_bytes(old)
-            trimmed += 1
-        return trimmed
 
     def _fresh(
         self,

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.core.distances import DistanceMetric
 from repro.core.estimator import KrigingEstimator
-from repro.core.factor_cache import FactorCacheStats
 from repro.fixedpoint.noise import bit_difference_db, relative_difference
 from repro.optimization.trace import OptimizationTrace
 
@@ -66,10 +65,6 @@ class ReplayStats:
     neighbor_quantiles: tuple[tuple[float, float], ...] = ()
     """Streamed ``(probability, support-size quantile)`` pairs from the
     estimator's P² sketch (empty when nothing was interpolated)."""
-    factor_reuse: tuple[tuple[str, int], ...] = ()
-    """Factorization-reuse counters (``hits``, ``fresh``, ``fallbacks``, ...)
-    from the estimator's :class:`~repro.core.factor_cache.FactorCacheStats`;
-    all zeros when the reuse layer was disabled."""
     solve_phases: tuple[tuple[str, float], ...] = ()
     """Cumulative solve-phase wall clock (``assembly_seconds`` /
     ``factorize_seconds`` / ``backsolve_seconds`` / ``n_flushes``) from the
@@ -88,23 +83,6 @@ class ReplayStats:
             if key == name:
                 return value
         return 0.0
-
-    def factor_counter(self, name: str) -> int:
-        """One reuse counter by name (0 when untracked)."""
-        for key, value in self.factor_reuse:
-            if key == name:
-                return value
-        return 0
-
-    @property
-    def factor_reuse_rate(self) -> float:
-        """Share of factorization requests served by the cache (hit or
-        rank-1 update) instead of a fresh O(n^3) solve; ``nan`` when the
-        replay never asked for a factorization.  Delegates to
-        :meth:`FactorCacheStats.reuse_rate
-        <repro.core.factor_cache.FactorCacheStats.reuse_rate>` so there is
-        one definition of the rate."""
-        return FactorCacheStats.from_pairs(self.factor_reuse).reuse_rate
 
     def neighbor_quantile(self, prob: float) -> float:
         """Support-size quantile streamed during the replay (``nan`` if
@@ -145,7 +123,6 @@ def replay_trajectory(
     min_fit_points: int = 4,
     refit_interval: int | None = 1,
     interpolator: str = "ordinary",
-    factor_cache: bool = True,
 ) -> ReplayStats:
     """Replay a recorded trajectory under the kriging policy.
 
@@ -166,9 +143,6 @@ def replay_trajectory(
         re-identify the variogram after every simulation (cheap at trajectory
         sizes) starting from the fourth, matching the paper's once-per-
         application identification as soon as data exists.
-    factor_cache:
-        Enable the factorization-reuse layer (default on); the resulting
-        :attr:`ReplayStats.factor_reuse` counters show how often it paid.
     """
     configs = np.asarray(configurations, dtype=np.int64)
     values = np.asarray(true_values, dtype=np.float64)
@@ -206,7 +180,6 @@ def replay_trajectory(
         min_fit_points=min_fit_points,
         refit_interval=refit_interval,
         interpolator=interpolator,
-        factor_cache=factor_cache,
     )
 
     # The whole trajectory goes through the batch engine: runs of
@@ -236,7 +209,6 @@ def replay_trajectory(
         mean_neighbors=stats.mean_neighbors,
         errors=np.asarray(errors, dtype=np.float64),
         neighbor_quantiles=quantiles,
-        factor_reuse=stats.factor.as_pairs(),
         solve_phases=stats.solve.as_pairs() if stats.solve.n_flushes else (),
         n_fits=stats.n_fits,
         variogram_seconds=stats.variogram_seconds,
@@ -256,7 +228,6 @@ def replay_trace(
     min_fit_points: int = 4,
     refit_interval: int | None = 1,
     interpolator: str = "ordinary",
-    factor_cache: bool = True,
 ) -> ReplayStats:
     """Convenience wrapper: replay an :class:`OptimizationTrace` directly."""
     unique = trace.unique_first_visits()
@@ -272,5 +243,4 @@ def replay_trace(
         min_fit_points=min_fit_points,
         refit_interval=refit_interval,
         interpolator=interpolator,
-        factor_cache=factor_cache,
     )

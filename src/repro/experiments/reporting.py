@@ -16,7 +16,6 @@ __all__ = [
     "format_table1",
     "format_row",
     "format_neighbor_distribution",
-    "format_factor_reuse",
     "format_solve_phases",
     "format_identification",
 ]
@@ -60,29 +59,6 @@ def format_neighbor_distribution(stats: ReplayStats) -> str:
         f"p{round(100 * p):02d}={value:5.2f}" for p, value in stats.neighbor_quantiles
     )
     return f"{label} j_mean={stats.mean_neighbors:5.2f}  {quantiles}"
-
-
-def format_factor_reuse(stats: ReplayStats) -> str:
-    """Render a replay's factorization-reuse counters.
-
-    One line per replay: how many kriging factorizations came from the
-    factor cache (exact hits plus rank-1 up/downdates) versus fresh O(n^3)
-    solves, and how often a reused solve fell back to the plain solver.
-    Returns a placeholder line when the replay never requested a
-    factorization (reuse disabled, or every group below the cache's
-    minimum support size).
-    """
-    label = f"{stats.benchmark or 'replay':<12} d={stats.distance:<4.0f}"
-    rate = stats.factor_reuse_rate
-    if rate != rate:  # NaN: no factorization requests
-        return f"{label} factor reuse: n/a"
-    return (
-        f"{label} factor reuse={100.0 * rate:5.1f}%  "
-        f"hits={stats.factor_counter('hits')} "
-        f"updates={stats.factor_counter('updates')} "
-        f"fresh={stats.factor_counter('fresh')} "
-        f"fallbacks={stats.factor_counter('fallbacks')}"
-    )
 
 
 def format_solve_phases(stats: ReplayStats) -> str:

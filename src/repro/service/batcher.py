@@ -2,8 +2,8 @@
 
 The batch query engine gets *better* the more queries it sees at once:
 queries sharing a support set share one factorization
-(:func:`~repro.core.kriging.ordinary_kriging_batch`), and consecutive
-near-identical support sets share factors through the reuse layer.  A
+(:func:`~repro.core.kriging.ordinary_kriging_batch`), and same-size
+support sets are stacked into one batched solve.  A
 network service naively answering each request with a single
 :meth:`~repro.core.estimator.KrigingEstimator.evaluate` call would throw
 that away — every client would pay a full solve even when eight clients ask

@@ -57,8 +57,8 @@ from repro.service.session import EstimatorSession, check_name, load_snapshot, m
 __all__ = ["JsonLineServer", "KrigingService", "ServiceError", "run_server"]
 
 #: Estimator constructor keywords ``create_session`` forwards verbatim.
-#: Other keys, such as ``backend`` and ``n_jobs`` from older clients, are
-#: ignored.
+#: Other keys, such as ``backend``, ``n_jobs`` and ``factor_cache`` from
+#: older clients, are ignored.
 ESTIMATOR_KEYS = (
     "distance",
     "nn_min",
@@ -70,7 +70,6 @@ ESTIMATOR_KEYS = (
     "max_variance",
     "interpolator",
     "neighbor_index",
-    "factor_cache",
 )
 
 

@@ -15,13 +15,10 @@ simulate callable does not serialize; it is rebuilt from the session's
 JSON *simulator spec* (:func:`make_simulator`), which is stored in the
 manifest.
 
-Format version 2 adds the estimator's Cholesky factor cache as dedicated
-``factor{i}_rows`` / ``factor{i}_gamma`` / ``factor{i}_chol`` NPZ members
-(shifts and entry count in the manifest), so a restored session starts
-*warm* — zero refactorizations on a replayed workload.  Version-1 files
-still load; they simply restore with a cold factor cache.  A corrupted or
-missing factor section likewise degrades to a cold restore (with a
-``RuntimeWarning``) instead of failing the whole restore.
+Files are written as format version 2; versions 1 and 2 both load.  Older
+version-2 files may carry a factor-cache section (``factor{i}_*`` NPZ
+members and a ``factor_section`` manifest key): readers ignore it, and every
+restored session starts with a cold factor cache.
 
 Simulator specs
 ---------------
@@ -44,7 +41,6 @@ import asyncio
 import json
 import pathlib
 import re
-import warnings
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,8 +59,7 @@ __all__ = [
 
 SNAPSHOT_VERSION = 2
 
-#: Snapshot versions this build can read.  Version 1 predates the factor
-#: cache section — those files restore with a cold cache.
+#: Snapshot versions this build can read.
 _READABLE_VERSIONS = (1, 2)
 
 #: Session (and snapshot) names must be filesystem- and protocol-safe
@@ -155,27 +150,6 @@ def save_snapshot(path: object, state: dict) -> pathlib.Path:
     points = np.ascontiguousarray(cache.pop("points"), dtype=np.float64)
     values = np.ascontiguousarray(cache.pop("values"), dtype=np.float64)
     estimator["cache"] = cache
-    members: dict[str, np.ndarray] = {}
-    factor_state = estimator.pop("factor_entries", None)
-    if factor_state is not None:
-        entries = factor_state["entries"]
-        for i, entry in enumerate(entries):
-            members[f"factor{i}_rows"] = np.ascontiguousarray(
-                entry["rows"], dtype=np.int64
-            )
-            members[f"factor{i}_gamma"] = np.ascontiguousarray(
-                entry["gamma"], dtype=np.float64
-            )
-            members[f"factor{i}_chol"] = np.ascontiguousarray(
-                entry["chol"], dtype=np.float64
-            )
-        estimator["factor_section"] = {
-            "version": int(factor_state["version"]),
-            "count": len(entries),
-            "shifts": [float(entry["shift"]) for entry in entries],
-        }
-    else:
-        estimator["factor_section"] = None
     state["estimator"] = estimator
     manifest = json.dumps({"snapshot_version": SNAPSHOT_VERSION, **state})
     path = pathlib.Path(path)
@@ -187,37 +161,8 @@ def save_snapshot(path: object, state: dict) -> pathlib.Path:
         manifest=np.frombuffer(manifest.encode(), dtype=np.uint8),
         cache_points=points,
         cache_values=values,
-        **members,
     )
     return path
-
-
-def _load_factor_entries(archive: object, meta: dict | None) -> dict | None:
-    """Reassemble the factor-cache state from its NPZ members.
-
-    Raises on any inconsistency; the caller degrades to a cold restore.
-    """
-    if meta is None:
-        return None
-    count = int(meta["count"])
-    shifts = meta["shifts"]
-    if len(shifts) != count:
-        raise ValueError("factor-cache shift count mismatch")
-    entries = []
-    for i in range(count):
-        entries.append(
-            {
-                "rows": np.ascontiguousarray(archive[f"factor{i}_rows"], dtype=np.int64),
-                "gamma": np.ascontiguousarray(
-                    archive[f"factor{i}_gamma"], dtype=np.float64
-                ),
-                "chol": np.ascontiguousarray(
-                    archive[f"factor{i}_chol"], dtype=np.float64
-                ),
-                "shift": float(shifts[i]),
-            }
-        )
-    return {"version": int(meta["version"]), "entries": entries}
 
 
 def load_snapshot(path: object) -> dict:
@@ -234,22 +179,11 @@ def load_snapshot(path: object) -> dict:
         version = state.get("snapshot_version")
         if version not in _READABLE_VERSIONS:
             raise ValueError(f"unsupported snapshot version {version!r} in {path}")
-        factor_meta = state["estimator"].pop("factor_section", None)
-        factor_entries = None
-        if version >= 2 and factor_meta is not None:
-            try:
-                factor_entries = _load_factor_entries(archive, factor_meta)
-            except Exception as exc:
-                warnings.warn(
-                    f"discarding corrupted factor-cache section in {path}: {exc}; "
-                    "restoring with a cold factor cache",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                factor_entries = None
+    # Factor-cache keys of older files are dropped: the cache restores cold.
+    for key in ("factor_section", "factor_cache"):
+        state["estimator"].pop(key, None)
     state["estimator"]["cache"]["points"] = points
     state["estimator"]["cache"]["values"] = values
-    state["estimator"]["factor_entries"] = factor_entries
     return state
 
 

@@ -6,9 +6,10 @@ simulate/interpolate decisions, same final cache contents.  Verified here
 over two real workloads (FIR and SqueezeNet recorded trajectories — one
 minplusone word-length problem, one descent sensitivity problem) plus
 synthetic stress cases (variogram refitting, universal kriging,
-max_neighbors caps).  The performance knob layered on top —
-``factor_cache`` (factorization reuse) — must never change outcomes; it is
-exercised here against the sequential reference.
+max_neighbors caps).  The performance layer underneath — the factor
+cache's exact-signature reuse — must never change outcomes; it is
+exercised here against the sequential reference with and without the
+cached factors reaching the grouped solver.
 """
 
 import numpy as np
@@ -87,9 +88,18 @@ def test_workload_trajectory_equivalence(name, distance):
 
 
 @pytest.mark.parametrize("factor_cache", [True, False])
-def test_workload_equivalence_reuse_on_off(factor_cache):
-    """The factorization-reuse layer is a pure performance knob: batch
-    outcomes must match the sequential path with the cache on or off."""
+def test_workload_equivalence_reuse_on_off(factor_cache, monkeypatch):
+    """Factor reuse is a pure performance layer: batch outcomes must match
+    the sequential path whether the grouped solver receives the cached
+    factors (on) or solves every group fresh, ``factors=None`` (off)."""
+    if not factor_cache:
+        from repro.core import estimator as estimator_module
+        from repro.core.kriging import ordinary_kriging_grouped
+
+        def fresh(groups, variogram, *, factors=None, **kwargs):
+            return ordinary_kriging_grouped(groups, variogram, **kwargs)
+
+        monkeypatch.setattr(estimator_module, "ordinary_kriging_grouped", fresh)
     configs, lookup = _workload_configs("fir")
     outcomes = assert_equivalent(
         configs,
@@ -100,7 +110,6 @@ def test_workload_equivalence_reuse_on_off(factor_cache):
         variogram="auto",
         min_fit_points=4,
         refit_interval=1,
-        factor_cache=factor_cache,
     )
     assert any(o.interpolated for o in outcomes)
 
@@ -184,7 +193,6 @@ def test_grouped_matches_per_group_reference():
     nv = configs.shape[1]
     kwargs = dict(
         distance=3, variogram="auto", min_fit_points=4, refit_interval=1,
-        factor_cache=False,
     )
     estimator = KrigingEstimator(lookup, nv, **kwargs)
     out = estimator.evaluate_batch(configs)

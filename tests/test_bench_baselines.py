@@ -2,7 +2,9 @@
 
 A baseline is what every later run is ratcheted against; committing one
 whose ``acceptance.passed`` is false would let the gate lock in a
-regression.
+regression.  The committed set must also be exactly the baselines the
+registry's gated workloads name: a stale file of a deleted workload, or a
+gated workload without a baseline, fails here.
 """
 
 import json
@@ -16,6 +18,13 @@ BASELINES = sorted(ROOT.glob("BENCH_*.json"))
 
 def test_baselines_are_found():
     assert BASELINES, "no committed BENCH_*.json baselines"
+
+
+def test_committed_baselines_match_gated_registry():
+    from repro.bench.registry import listing
+
+    registered = {row["baseline"] for row in listing(gated_only=True)}
+    assert {path.name for path in BASELINES} == registered
 
 
 @pytest.mark.parametrize("path", BASELINES, ids=lambda p: p.name)

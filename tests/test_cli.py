@@ -58,6 +58,7 @@ class TestCommands:
         assert "p=" in out
         assert "mu_eps=" in out
         assert "identify fits=" in out
+        assert "factor reuse" not in out
 
 
 class TestServiceParser:

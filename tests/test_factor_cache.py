@@ -1,4 +1,4 @@
-"""Unit tests for repro.core.factor_cache (the factorization-reuse layer)."""
+"""Unit tests for repro.core.factor_cache (the estimator's factor LRU)."""
 
 import numpy as np
 import pytest
@@ -148,6 +148,10 @@ class TestCachePolicy:
 
 
 class TestEstimatorIntegration:
+    """The estimator's batch engine reuses cached factors; its sequential
+    ``evaluate`` path never touches the cache.  The two must agree to the
+    engine's 1e-9 envelope."""
+
     @staticmethod
     def _field(config):
         c = np.asarray(config, dtype=float)
@@ -163,26 +167,41 @@ class TestEstimatorIntegration:
             estimator.neighbor_index.insert(point, row)
         return estimator, support
 
+    def _batch_and_sequential(self, seed, ops, **kwargs):
+        """Feed ``ops`` to two identically seeded estimators: one through
+        ``evaluate_batch`` (factor reuse), one query at a time through
+        ``evaluate`` (no factor cache)."""
+        values = {}
+        estimators = {}
+        for batched in (True, False):
+            estimator, _ = self._seeded(np.random.default_rng(seed), **kwargs)
+            out = []
+            for kind, payload in ops:
+                if kind == "write":
+                    estimator.force_simulate(payload)
+                elif batched:
+                    out.extend(o.value for o in estimator.evaluate_batch(payload))
+                else:
+                    out.extend(estimator.evaluate(q).value for q in payload)
+            values[batched] = out
+            estimators[batched] = estimator
+        np.testing.assert_allclose(values[True], values[False], rtol=1e-9, atol=1e-12)
+        return estimators[True], estimators[False]
+
     def test_reuse_on_off_same_estimates(self):
         rng = np.random.default_rng(8)
         queries = rng.uniform(1.0, 7.0, size=(40, 3))
-        values = {}
-        for enabled in (True, False):
-            estimator, _ = self._seeded(
-                np.random.default_rng(8),
-                variogram=VARIOGRAM,
-                factor_cache=enabled,
-            )
-            values[enabled] = [o.value for o in estimator.evaluate_batch(queries)]
-            if enabled:
-                assert estimator.stats.factor.requests > 0
-        np.testing.assert_allclose(values[True], values[False], rtol=1e-9, atol=1e-12)
+        batched, sequential = self._batch_and_sequential(
+            8, [("read", queries)], variogram=VARIOGRAM
+        )
+        assert batched.stats.factor.requests > 0
+        assert sequential.stats.factor.requests == 0
 
     def test_growth_loop_cache_on_off_agree(self):
         """A serve-mixed-shaped session: reads over a fixed exponential
         variogram with one write in ten.  Writes change neighbourhoods, so
         the cache mixes exact hits with fresh factorizations; estimates
-        must match the cache-off run to 1e-9."""
+        must match the per-query path to 1e-9."""
         rng = np.random.default_rng(17)
         centers = rng.uniform(1.0, 7.0, size=(6, 3))
         ops = []
@@ -195,30 +214,17 @@ class TestEstimatorIntegration:
                 center = centers[int(rng.integers(0, len(centers)))]
                 ops.append(("read", center + rng.uniform(-0.05, 0.05, size=(4, 3))))
 
-        values = {}
-        stats = {}
-        for enabled in (True, False):
-            estimator, _ = self._seeded(
-                np.random.default_rng(17), variogram=VARIOGRAM, factor_cache=enabled
-            )
-            out = []
-            for kind, payload in ops:
-                if kind == "write":
-                    estimator.force_simulate(payload)
-                else:
-                    out.extend(o.value for o in estimator.evaluate_batch(payload))
-            values[enabled] = out
-            stats[enabled] = estimator.stats.factor
-        np.testing.assert_allclose(values[True], values[False], rtol=1e-9, atol=1e-12)
-        assert stats[True].hits > 0 and stats[True].fresh > 0
-        assert stats[True].updates == 0
-        assert stats[False].requests == 0
+        batched, sequential = self._batch_and_sequential(17, ops, variogram=VARIOGRAM)
+        stats = batched.stats.factor
+        assert stats.hits > 0 and stats.fresh > 0
+        assert stats.updates == 0
+        assert sequential.stats.factor.requests == 0
 
     def test_refit_invalidates_cached_factors(self):
         """A variogram refit must drop every cached factorization: with
-        ``refit_interval=1`` each simulation refits, so estimates must match
-        the no-reuse run exactly (no stale-variogram factors) and the cache
-        must record one invalidation per fit."""
+        ``refit_interval=1`` each simulation refits, so batch estimates must
+        match the per-query path exactly (no stale-variogram factors) and
+        the cache must record one invalidation per fit."""
         rng = np.random.default_rng(9)
         # Alternate interpolation bursts with out-of-range queries that force
         # simulations (and therefore refits) mid-stream.
@@ -226,50 +232,41 @@ class TestEstimatorIntegration:
         far = rng.uniform(40.0, 60.0, size=(4, 3))
         sweep = np.vstack([near[:15], far[:2], near[15:], far[2:]])
 
-        outcomes = {}
-        stats = {}
-        for enabled in (True, False):
-            estimator, _ = self._seeded(
-                np.random.default_rng(9),
-                variogram="exponential",
-                min_fit_points=4,
-                refit_interval=1,
-                factor_cache=enabled,
-            )
-            outcomes[enabled] = [o.value for o in estimator.evaluate_batch(sweep)]
-            stats[enabled] = estimator.stats
-        np.testing.assert_allclose(
-            outcomes[True], outcomes[False], rtol=1e-9, atol=1e-12
+        batched, sequential = self._batch_and_sequential(
+            9,
+            [("read", sweep)],
+            variogram="exponential",
+            min_fit_points=4,
+            refit_interval=1,
         )
-        factor = stats[True].factor
         # Refits are lazy (one per variogram access after new simulations),
         # so each far burst produces exactly one invalidation event.
-        assert factor.invalidations >= 2
-        assert stats[True].n_simulated == stats[False].n_simulated
-        assert stats[True].n_simulated > 0
+        assert batched.stats.factor.invalidations >= 2
+        assert batched.stats.n_simulated == sequential.stats.n_simulated
+        assert batched.stats.n_simulated > 0
 
     def test_factor_stats_reachable_via_estimator(self):
         estimator, _ = self._seeded(np.random.default_rng(10), variogram=VARIOGRAM)
         assert isinstance(estimator.stats.factor, FactorCacheStats)
-        assert estimator.factor_cache is not None
-        assert estimator.factor_cache.stats is estimator.stats.factor
+        assert estimator._factor_cache.stats is estimator.stats.factor
 
-    def test_disabled_cache_keeps_zero_counters(self):
-        estimator, _ = self._seeded(
-            np.random.default_rng(11), variogram=VARIOGRAM, factor_cache=False
-        )
-        rng = np.random.default_rng(12)
-        estimator.evaluate_batch(rng.uniform(1.0, 7.0, size=(10, 3)))
-        assert estimator.factor_cache is None
-        assert estimator.stats.factor.requests == 0
+    def test_restored_estimator_counts_into_its_stats(self):
+        """``from_state`` rebuilds the stats; the cold cache it starts with
+        must count into the restored counters, not an orphaned copy."""
+        estimator, _ = self._seeded(np.random.default_rng(12), variogram=VARIOGRAM)
+        queries = np.random.default_rng(13).uniform(1.0, 7.0, size=(10, 3))
+        estimator.evaluate_batch(queries)
+        fresh = estimator.stats.factor.fresh
+        assert fresh > 0
+        twin = KrigingEstimator.from_state(self._field, estimator.to_state())
+        assert twin._factor_cache.stats is twin.stats.factor
+        assert len(twin._factor_cache) == 0
+        twin.evaluate_batch(queries)
+        assert twin.stats.factor.fresh == 2 * fresh
 
-    def test_custom_cache_instance_adopted(self):
-        cache = FactorCache(capacity=4, min_support=2)
-        estimator, _ = self._seeded(
-            np.random.default_rng(13), variogram=VARIOGRAM, factor_cache=cache
-        )
-        assert estimator.factor_cache is cache
-        assert estimator.stats.factor is cache.stats
+    def test_factor_cache_knob_is_gone(self):
+        with pytest.raises(TypeError, match="factor_cache"):
+            KrigingEstimator(self._field, 3, factor_cache=False)
 
 
 class TestByteBudget:

@@ -6,7 +6,6 @@ import pytest
 from repro.experiments.figure1 import surface_is_monotone
 from repro.experiments.replay import MetricKind, ReplayStats, replay_trajectory
 from repro.experiments.reporting import (
-    format_factor_reuse,
     format_neighbor_distribution,
     format_row,
     format_table1,
@@ -147,65 +146,6 @@ class TestSpeedupEdgeCases:
             benchmark="x", p_fraction=0.0, t_simulation=1.0, t_kriging=1e-6
         )
         assert proj.speedup == pytest.approx(1.0)
-
-
-class TestFactorReuse:
-    def _stats(self, **overrides):
-        defaults = dict(
-            benchmark="fir",
-            metric_kind=MetricKind.NOISE_POWER_DB,
-            distance=3.0,
-            nn_min=1,
-            n_configs=40,
-            n_interpolated=25,
-            n_simulated=15,
-            mean_neighbors=2.4,
-            errors=np.zeros(25),
-            factor_reuse=(
-                ("hits", 6),
-                ("updates", 10),
-                ("update_points", 14),
-                ("fresh", 4),
-                ("fallbacks", 1),
-                ("failures", 0),
-                ("invalidations", 2),
-                ("evictions", 0),
-            ),
-        )
-        defaults.update(overrides)
-        return ReplayStats(**defaults)
-
-    def test_renders_counters_and_rate(self):
-        line = format_factor_reuse(self._stats())
-        assert "hits=6" in line
-        assert "updates=10" in line
-        assert "fresh=4" in line
-        assert "fallbacks=1" in line
-        assert "80.0%" in line  # (6 + 10) / 20 requests
-
-    def test_no_requests_placeholder(self):
-        stats = self._stats(factor_reuse=())
-        assert np.isnan(stats.factor_reuse_rate)
-        assert "n/a" in format_factor_reuse(stats)
-
-    def test_replay_surfaces_reuse_counters(self):
-        """End to end: the estimator's factor counters reach ReplayStats."""
-        rng = np.random.default_rng(4)
-        configs = np.unique(rng.integers(2, 8, size=(60, 2)), axis=0)
-        values = configs.astype(float) @ np.array([-2.0, -1.0])
-        stats = replay_trajectory(
-            configs, values, distance=4, variogram="exponential"
-        )
-        assert stats.factor_reuse  # counters recorded (possibly all zero)
-        assert stats.factor_counter("hits") >= 0
-        disabled = replay_trajectory(
-            configs, values, distance=4, variogram="exponential",
-            factor_cache=False,
-        )
-        assert disabled.factor_counter("hits") == 0
-        np.testing.assert_allclose(
-            stats.errors, disabled.errors, rtol=1e-9, atol=1e-12
-        )
 
 
 class TestSolvePhases:

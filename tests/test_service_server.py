@@ -88,17 +88,21 @@ class TestBasicVerbs:
         serve(body)
 
     def test_removed_backend_key_from_old_clients_ignored(self):
-        """Clients written against the process solve backend still send
-        ``backend``; the session is created on the one remaining path, and
-        the metrics no longer export the removed backend's counters."""
+        """Clients written against the process solve backend or the factor
+        cache knob still send ``backend``/``factor_cache``; the session is
+        created on the one remaining path with its always-on factor cache,
+        and the metrics no longer export the removed backend's counters."""
 
         async def body(client, service, host, port):
             info = await client.create_session(
-                "old", backend="process", n_jobs=2, **SESSION_KWARGS
+                "old", backend="process", n_jobs=2, factor_cache=False, **SESSION_KWARGS
             )
             assert info["session"] == "old"
             await client.simulate_many("old", _support().tolist())
             assert (await client.evaluate("old", [1.5, 2.0, 3.0])).interpolated
+            estimator = service.sessions["old"].estimator
+            assert estimator.stats.factor.requests > 0
+            assert "factor_cache" not in estimator.to_state()
             names = {f["name"] for f in (await client.request("metrics"))["families"]}
             assert "repro_pool_failures_total" not in names
             assert "repro_shm_attach_failures_total" not in names

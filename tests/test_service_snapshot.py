@@ -8,6 +8,7 @@ factor cache may be warm, agrees within the engine's ~1e-9 envelope).
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -124,21 +125,19 @@ class TestEstimatorState:
     def test_roundtrip_preserves_stats_and_decisions(self):
         est, pts = self._loaded(variogram="auto", min_fit_points=6, refit_interval=7)
         state = est.to_state()
-        # "cache" and "factor_entries" hold raw arrays (NPZ members in the
-        # file format); everything else must survive a JSON round trip.
-        manifest = _json_roundtrip(
-            {k: v for k, v in state.items() if k not in ("cache", "factor_entries")}
-        )
+        # "cache" holds raw arrays (NPZ members in the file format);
+        # everything else must survive a JSON round trip.
+        manifest = _json_roundtrip({k: v for k, v in state.items() if k != "cache"})
         manifest["cache"] = state["cache"]
-        manifest["factor_entries"] = state["factor_entries"]
         twin_a = KrigingEstimator.from_state(self._simulate, manifest)
         twin_b = KrigingEstimator.from_state(self._simulate, manifest)
 
         assert twin_a.stats.to_state() == est.stats.to_state()
         np.testing.assert_array_equal(est.cache.points, twin_a.cache.points)
 
-        # Mixed follow-up (interpolations + fresh simulations): the two cold
-        # twins are bitwise identical; the warm original matches decisions
+        # Mixed follow-up (interpolations + fresh simulations): the two
+        # restored twins are bitwise identical; the original, whose factor
+        # cache is warm, matches decisions
         # and cache bitwise, values to the engine envelope.
         follow = np.vstack([pts[:10] + 0.4, pts[:4], np.array([[9.0, 9.0, 9.0]])])
         out_o = est.evaluate_batch(follow)
@@ -176,9 +175,29 @@ class TestEstimatorState:
     def test_overrides_apply(self):
         est, _ = self._loaded(variogram="linear")
         twin = KrigingEstimator.from_state(
-            self._simulate, est.to_state(), factor_cache=False
+            self._simulate, est.to_state(), max_neighbors=5
         )
-        assert twin.factor_cache is None
+        assert twin._max_neighbors == 5
+        assert twin.to_state()["max_neighbors"] == 5
+
+    def test_older_factor_cache_keys_ignored(self):
+        """States written while the factor cache was persisted carry its
+        on/off switch and entries; both are ignored, malformed or not, and
+        the restore is cold with the cache on."""
+        est, pts = self._loaded(variogram="linear")
+        state = {
+            **est.to_state(),
+            "factor_cache": False,
+            "factor_entries": {"version": 99, "entries": "garbage"},
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            twin = KrigingEstimator.from_state(self._simulate, state)
+        assert len(twin._factor_cache) == 0
+        assert twin.stats.to_state() == est.stats.to_state()
+        np.testing.assert_array_equal(twin.cache.points, est.cache.points)
+        twin.evaluate_batch(pts[:10] + 0.4)
+        assert twin.stats.factor.requests > 0
 
     def test_version_guard(self):
         est, _ = self._loaded(variogram="linear")
@@ -220,27 +239,13 @@ class TestSessionSnapshotFile:
             first["estimator"]["cache"]["values"],
             again["estimator"]["cache"]["values"],
         )
+
         def strip(state):
-            return {
-                k: v
-                for k, v in state["estimator"].items()
-                if k not in ("cache", "factor_entries")
-            }
+            return {k: v for k, v in state["estimator"].items() if k != "cache"}
 
         assert json.dumps(strip(first), sort_keys=True) == json.dumps(
             strip(again), sort_keys=True
         )
-        # The factor-cache section (format v2) round-trips byte for byte.
-        fe_first = first["estimator"]["factor_entries"]
-        fe_again = again["estimator"]["factor_entries"]
-        assert (fe_first is None) == (fe_again is None)
-        if fe_first is not None:
-            assert len(fe_first["entries"]) == len(fe_again["entries"])
-            for a, b in zip(fe_first["entries"], fe_again["entries"]):
-                assert a["shift"] == b["shift"]
-                np.testing.assert_array_equal(a["rows"], b["rows"])
-                np.testing.assert_array_equal(a["gamma"], b["gamma"])
-                np.testing.assert_array_equal(a["chol"], b["chol"])
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         simulate, nv = make_simulator({"kind": "linear"}, 2)

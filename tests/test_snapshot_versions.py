@@ -1,14 +1,13 @@
 """Snapshot format-version compatibility (:mod:`repro.service.session`).
 
-Format v2 added the factor-cache section (warm-start restores).  The
-compatibility contract: the current version round-trips the factor cache
-byte for byte and replays with **zero** fresh factorizations; a version-1
-snapshot restores cold *silently*; a corrupted factor section degrades to
-a cold restore with a warning instead of failing the load; an unknown
-version is rejected outright.  A snapshot written while the factor cache
-still bridged near signatures by rank-1 edits (``data/parent_v2_session.npz``:
-format v2, ``n_jobs=2``, factors in permuted row order) restores warm and
-answers as it did when written.
+Snapshots are written as format v2 without any factor-cache state.  The
+compatibility contract: version-1 files and version-2 files with or without
+a factor-cache section (``factor{i}_*`` members, even corrupted ones) load
+*silently* and restore with a cold factor cache; an unknown version is
+rejected outright.  A snapshot written while the factor cache still bridged
+near signatures by rank-1 edits and was persisted
+(``data/parent_v2_session.npz``: format v2, ``n_jobs=2``, factors in permuted
+row order) answers its recorded queries as it did when written.
 """
 
 import json
@@ -38,7 +37,8 @@ def _simulate(config):
 
 
 def _warm_session(tmp_path):
-    """A snapshotted session whose factor cache is warm, plus its queries."""
+    """A session snapshotted while its factor cache was warm, plus its
+    queries."""
     rng = np.random.default_rng(17)
     est = KrigingEstimator(_simulate, 3, distance=4.0, nn_min=1, variogram="linear")
     pts = np.unique(rng.integers(0, 6, size=(120, 3)), axis=0).astype(float)
@@ -90,30 +90,64 @@ def _rewrite(src, dst, *, drop=(), patch_manifest=None):
     return dst
 
 
-class TestCurrentVersion:
-    def test_factor_cache_roundtrips_byte_for_byte(self, tmp_path):
-        est, path, _ = _warm_session(tmp_path)
-        source = est.to_state()["factor_entries"]
-        restored = load_snapshot(path)["estimator"]["factor_entries"]
-        assert restored is not None
-        assert restored["version"] == source["version"]
-        assert len(restored["entries"]) == len(source["entries"])
-        for a, b in zip(source["entries"], restored["entries"]):
-            assert a["shift"] == b["shift"]
-            np.testing.assert_array_equal(a["rows"], b["rows"])
-            np.testing.assert_array_equal(a["gamma"], b["gamma"])
-            np.testing.assert_array_equal(a["chol"], b["chol"])
+def _parent_answers():
+    recorded = json.loads(PARENT_SNAPSHOT.with_suffix(".json").read_text())
+    return (
+        np.asarray(recorded["queries"]),
+        [float.fromhex(v) for v in recorded["values"]],
+        [float.fromhex(v) for v in recorded["variances"]],
+    )
 
-    def test_warm_restore_refactorizes_nothing(self, tmp_path):
-        _, path, queries = _warm_session(tmp_path)
+
+def _load_silently(path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return load_snapshot(path)
+
+
+def _assert_cold_replay(estimator):
+    """The parent fixture's recorded queries, answered from a cold cache."""
+    queries, values, variances = _parent_answers()
+    assert len(estimator._factor_cache) == 0
+    before = dict(estimator.stats.factor.as_pairs())
+    out = estimator.evaluate_batch(queries)
+    after = dict(estimator.stats.factor.as_pairs())
+    assert all(o.interpolated for o in out)
+    assert after["fresh"] > before["fresh"]  # restored cold
+    np.testing.assert_allclose([o.value for o in out], values, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose([o.variance for o in out], variances, rtol=1e-9, atol=1e-9)
+
+
+class TestCurrentVersion:
+    def test_written_snapshot_has_no_factor_section(self, tmp_path):
+        """The factor cache never reaches a snapshot, warm or not."""
+        est, path, _ = _warm_session(tmp_path)
+        assert len(est._factor_cache) > 0
+        assert not [
+            name for name in zipfile.ZipFile(path).namelist() if name.startswith("factor")
+        ]
+        with np.load(path) as archive:
+            manifest = json.loads(bytes(archive["manifest"].tobytes()).decode())
+        assert manifest["snapshot_version"] == SNAPSHOT_VERSION == 2
+        for key in ("factor_section", "factor_entries", "factor_cache"):
+            assert key not in manifest["estimator"]
+            assert key not in est.to_state()
+
+    def test_restore_is_cold_and_answers_alike(self, tmp_path):
+        est, path, queries = _warm_session(tmp_path)
         state = load_snapshot(path)["estimator"]
-        assert _fresh_delta(state, queries) == 0
-        # Stripping the section reproduces the cold (v1) behaviour.
-        assert _fresh_delta({**state, "factor_entries": None}, queries) > 0
+        assert _fresh_delta(state, queries) > 0
+        restored = KrigingEstimator.from_state(_simulate, state)
+        np.testing.assert_allclose(
+            [o.value for o in restored.evaluate_batch(queries)],
+            [o.value for o in est.evaluate_batch(queries)],
+            rtol=1e-9,
+            atol=1e-12,
+        )
 
     def test_two_restores_do_not_share_factors(self, tmp_path):
-        """Entries are copied per restore: work in one twin must not leak
-        into the other's factors."""
+        """Each restore builds its own factor cache: work in one twin must
+        not leak into the other's answers."""
         _, path, queries = _warm_session(tmp_path)
         state = load_snapshot(path)["estimator"]
         twin_a = KrigingEstimator.from_state(_simulate, state)
@@ -122,11 +156,8 @@ class TestCurrentVersion:
         twin_a.neighbor_index.insert(
             np.array([9.0, 9.0, 9.0]), len(twin_a.cache) - 1
         )
-        out_a = twin_a.evaluate_batch(queries)
+        twin_a.evaluate_batch(queries)
         out_b = twin_b.evaluate_batch(queries)
-        del out_a
-        # twin_b's factors are untouched by twin_a's work: replaying the
-        # original queries stays warm and bitwise-stable.
         ref = KrigingEstimator.from_state(_simulate, load_snapshot(path)["estimator"])
         out_ref = ref.evaluate_batch(queries)
         assert [o.value for o in out_b] == [o.value for o in out_ref]
@@ -135,24 +166,16 @@ class TestCurrentVersion:
 class TestPreviousVersion:
     def test_v1_snapshot_restores_cold_silently(self, tmp_path):
         _, path, queries = _warm_session(tmp_path)
-        factor_members = [
-            name.removesuffix(".npy")
-            for name in zipfile.ZipFile(path).namelist()
-            if name.startswith("factor")
-        ]
-        assert factor_members  # the warm snapshot really has a section
 
         def to_v1(manifest):
             manifest["snapshot_version"] = 1
-            manifest["estimator"].pop("factor_section", None)
             return manifest
 
-        v1 = _rewrite(path, tmp_path / "v1.npz", drop=factor_members,
-                      patch_manifest=to_v1)
+        v1 = _rewrite(path, tmp_path / "v1.npz", patch_manifest=to_v1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # silent: no deprecation theatre
             state = load_snapshot(v1)
-        assert state["estimator"]["factor_entries"] is None
+        assert state["snapshot_version"] == 1
         assert _fresh_delta(state["estimator"], queries) > 0  # cold, but works
 
     def test_state_with_removed_solve_knobs_restores(self, tmp_path):
@@ -194,49 +217,43 @@ class TestPreviousVersion:
         )
         np.testing.assert_array_equal(restored.cache.points, est.cache.points)
 
-    @staticmethod
-    def _parent_answers():
-        recorded = json.loads(PARENT_SNAPSHOT.with_suffix(".json").read_text())
-        return (
-            np.asarray(recorded["queries"]),
-            [float.fromhex(v) for v in recorded["values"]],
-            [float.fromhex(v) for v in recorded["variances"]],
-        )
-
-    def _assert_warm_replay(self, estimator):
-        queries, values, variances = self._parent_answers()
-        before = dict(estimator.stats.factor.as_pairs())
-        out = estimator.evaluate_batch(queries)
-        after = dict(estimator.stats.factor.as_pairs())
-        assert all(o.interpolated for o in out)
-        assert after["fresh"] == before["fresh"]  # every group is an exact hit
-        assert after["hits"] > before["hits"]
-        assert after["updates"] == before["updates"]
-        np.testing.assert_allclose([o.value for o in out], values, rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(
-            [o.variance for o in out], variances, rtol=1e-9, atol=1e-9
-        )
-
-    def test_parent_v2_state_with_bridged_factors_restores_warm(self):
+    def test_parent_v2_state_with_bridged_factors_restores_cold(self):
         """The estimator state of a snapshot written with ``n_jobs=2`` and a
-        factor cache holding rank-1-derived factors: ``n_jobs`` is ignored,
-        the derived factors load under their sorted signatures, and the
-        recorded queries replay with zero fresh factorizations."""
-        state = load_snapshot(PARENT_SNAPSHOT)["estimator"]
+        persisted factor cache holding rank-1-derived factors: ``n_jobs``
+        and every factor-cache key are ignored, and the recorded queries
+        answer as they did when written."""
+        assert [
+            name for name in zipfile.ZipFile(PARENT_SNAPSHOT).namelist()
+            if name.startswith("factor")
+        ]  # the factor members really are there
+        state = _load_silently(PARENT_SNAPSHOT)["estimator"]
         assert state["version"] == 2 and state["n_jobs"] == 2
-        rows = [entry["rows"].tolist() for entry in state["factor_entries"]["entries"]]
-        assert any(r != sorted(r) for r in rows)  # bridged factors really are there
+        assert "factor_section" not in state and "factor_cache" not in state
         assert dict(map(tuple, state["stats"]["factor"]))["updates"] > 0
 
         estimator = KrigingEstimator.from_state(_simulate, state)
-        assert "n_jobs" not in estimator.to_state()
-        assert len(estimator.factor_cache) == len(rows)
-        self._assert_warm_replay(estimator)
+        for key in ("n_jobs", "factor_cache", "factor_entries"):
+            assert key not in estimator.to_state()
+        _assert_cold_replay(estimator)
 
     def test_parent_v2_snapshot_restores_as_session(self):
-        session = EstimatorSession.restore(PARENT_SNAPSHOT)
+        """Restored through the session path, with no ``RuntimeWarning``."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            session = EstimatorSession.restore(PARENT_SNAPSHOT)
         assert session.name == "parent"
-        self._assert_warm_replay(session.estimator)
+        _assert_cold_replay(session.estimator)
+
+    def test_parent_snapshot_resaved_has_no_factor_section(self, tmp_path):
+        """Loading the parent file and writing it back drops its factor
+        members and keys; the rewritten file answers alike."""
+        path = save_snapshot(tmp_path / "resaved", _load_silently(PARENT_SNAPSHOT))
+        assert not [
+            name for name in zipfile.ZipFile(path).namelist() if name.startswith("factor")
+        ]
+        state = _load_silently(path)
+        assert "factor_cache" not in state["estimator"]
+        _assert_cold_replay(KrigingEstimator.from_state(_simulate, state["estimator"]))
 
     def test_unknown_version_rejected(self, tmp_path):
         _, path, _ = _warm_session(tmp_path)
@@ -251,22 +268,19 @@ class TestPreviousVersion:
 
 
 class TestCorruption:
+    """A corrupted factor section of an older file is never read, so it
+    cannot fail or warn: the restore is cold either way."""
+
     def test_missing_factor_member_degrades_to_cold(self, tmp_path):
-        _, path, queries = _warm_session(tmp_path)
-        truncated = _rewrite(path, tmp_path / "trunc.npz", drop=["factor0_chol"])
-        with pytest.warns(RuntimeWarning, match="corrupted factor-cache section"):
-            state = load_snapshot(truncated)
-        assert state["estimator"]["factor_entries"] is None
-        assert _fresh_delta(state["estimator"], queries) > 0
+        truncated = _rewrite(PARENT_SNAPSHOT, tmp_path / "trunc.npz", drop=["factor0_chol"])
+        state = _load_silently(truncated)
+        _assert_cold_replay(KrigingEstimator.from_state(_simulate, state["estimator"]))
 
     def test_shift_count_mismatch_degrades_to_cold(self, tmp_path):
-        _, path, _ = _warm_session(tmp_path)
-
         def drop_a_shift(manifest):
             manifest["estimator"]["factor_section"]["shifts"].pop()
             return manifest
 
-        bad = _rewrite(path, tmp_path / "shift.npz", patch_manifest=drop_a_shift)
-        with pytest.warns(RuntimeWarning, match="corrupted factor-cache section"):
-            state = load_snapshot(bad)
-        assert state["estimator"]["factor_entries"] is None
+        bad = _rewrite(PARENT_SNAPSHOT, tmp_path / "shift.npz", patch_manifest=drop_a_shift)
+        state = _load_silently(bad)
+        _assert_cold_replay(KrigingEstimator.from_state(_simulate, state["estimator"]))
