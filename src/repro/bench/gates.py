@@ -426,9 +426,14 @@ GATE_SETS: dict[str, tuple] = {
 
 
 def evaluate(baseline: dict, current: dict, factor: float) -> GateResult:
-    """Run the gate set for the baseline's report kind; return the result."""
+    """Run the gate set for the baseline's report kind; return the result.
+
+    Raises ``ValueError`` for a kind outside :data:`KNOWN_BENCHMARKS`.
+    """
     kind = baseline.get("benchmark")
-    gates = GATE_SETS.get(kind, GATE_SETS["query_engine"])
+    if kind not in KNOWN_BENCHMARKS:
+        raise ValueError(f"unknown benchmark kind {kind!r}; expected one of {KNOWN_BENCHMARKS}")
+    gates = GATE_SETS[kind]
     out = GateResult(failures=[], notes=[])
     for gate in gates:
         gate.apply(baseline, current, factor, out)

@@ -7,12 +7,14 @@ empirical lags, weighted by pair counts (lags estimated from more pairs count
 more).  :func:`select_variogram` fits several model families and keeps the
 one with the smallest weighted residual.
 
-The nonlinear fits are ill-conditioned: a Jacobian that differs from
-scipy's finite differences in the last bits moves fitted parameters by
-orders of magnitude and flips the selected family.  :func:`_least_squares`
-therefore hands ``least_squares`` a callable Jacobian that performs
-scipy's own ``'2-point'`` arithmetic, step for step, without the overhead
-of ``approx_derivative``; fits are bitwise identical to ``jac="2-point"``.
+Every nonlinear family is linear in all of its parameters but one: a
+bounded model is ``nugget + sill * shape(h / range_)``, the power model
+``scale * h**exponent``.  At a fixed range (or exponent) the best bounded
+linear parameters have a closed form, so the fit profiles them out
+(variable projection, Golub & Pereyra 1973) and searches the nonlinear
+parameter alone: a grid over its whole interval as one (grid x lags) array
+operation, then vectorized zoom rounds around the grid's deepest local
+minima.  No iterative optimizer runs, and a fit cannot fail.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize  # noqa: F401  (perfbench wraps fitting.optimize)
 
 from repro.core.models import (
     ExponentialVariogram,
@@ -38,6 +40,21 @@ __all__ = ["FittedVariogram", "fit_variogram", "select_variogram", "MODEL_KINDS"
 MODEL_KINDS = ("linear", "spherical", "exponential", "gaussian", "power")
 """Model families understood by :func:`fit_variogram`."""
 
+#: Lower bound of a sill or power scale (the models need it > 0).
+_FLOOR = 1e-12
+#: Log-range grid: ``_GRID`` points from ``min lag * 0.1`` to ``max lag * 2``,
+#: where the shapes bend over the lags (spherical has a kink at each lag),
+#: and ``_TAIL`` to ``max lag * 1e5``, where a model is at its linear limit up
+#: to O(lag / range).  A 10x cap fits convex curves up to 42% worse; longer
+#: caps gain < 3e-5 but make kriging systems on lattices near-singular.
+_RANGE_SPAN, _GRID, _TAIL = (0.1, 2.0, 1e5), 48, 12
+_EXPONENT_SPAN = (1e-3, 1.999)
+#: The ``_BASINS`` deepest local minima of the grid (the global minimum can
+#: sit between kinks, in the basin of a minimum the grid sees as shallower)
+#: are zoomed by ``_ZOOM``-point brackets (odd: the centre stays) to
+#: ``_XTOL`` wide.
+_BASINS, _ZOOM, _XTOL = 4, 17, 1e-7
+
 
 @dataclass(frozen=True)
 class FittedVariogram:
@@ -52,58 +69,40 @@ class FittedVariogram:
         return self.model(h)
 
 
+def _weighted_sse(model: VariogramModel, emp: EmpiricalVariogram) -> float:
+    residual = np.asarray(model(emp.lags)) - emp.gammas
+    return float(np.sum(emp.counts * residual**2))
+
+
 def _fit_linear(emp: EmpiricalVariogram) -> FittedVariogram:
     h, g, w = emp.lags, emp.gammas, emp.counts.astype(np.float64)
     denom = float(np.sum(w * h * h))
     slope = float(np.sum(w * h * g)) / denom if denom > 0 else 1.0
-    slope = max(slope, 1e-12)
-    model = LinearVariogram(slope=slope)
-    sse = float(np.sum(w * (model(h) - g) ** 2))
-    return FittedVariogram("linear", model, sse)
+    model = LinearVariogram(slope=max(slope, _FLOOR))
+    return FittedVariogram("linear", model, _weighted_sse(model, emp))
 
 
-#: scipy's relative step for ``'2-point'`` differences in float64.
-_FD_REL_STEP = np.finfo(np.float64).eps ** 0.5
+def _search(profile: Callable[[np.ndarray], tuple], grid: np.ndarray) -> float:
+    """Minimize ``profile(x)[0]`` (SSE, vectorized over ``x``) on a grid.
 
-
-def _least_squares(
-    residuals: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> np.ndarray:
-    """``least_squares`` with a Jacobian bitwise equal to ``jac="2-point"``.
-
-    The Jacobian repeats scipy's forward differences: step
-    ``sqrt(eps) * sign(x) * max(1, |x|)``, flipped when ``x + step`` leaves
-    the bounds (every bound here is wide enough for the flipped step to
-    fit), ``dx = (x + step) - x``, the residual at ``x`` reused as ``f0``,
-    and the matrix returned F-ordered as scipy builds it (a C-ordered copy
-    changes the BLAS rounding downstream).
+    The selected local minima of the grid are zoomed, all in one array
+    operation per round, from brackets as wide as the widest grid step
+    until the brackets are ``_XTOL`` wide.
     """
-    last_x = last_f = None
-
-    def fun(x: np.ndarray) -> np.ndarray:
-        nonlocal last_x, last_f
-        last_x, last_f = x.copy(), residuals(x)
-        return last_f
-
-    def jac(x: np.ndarray) -> np.ndarray:
-        f0 = last_f if np.array_equal(x, last_x) else residuals(x)
-        step = _FD_REL_STEP * ((x >= 0).astype(float) * 2 - 1) * np.maximum(1.0, np.abs(x))
-        stepped = x + step
-        step[(stepped < lower) | (stepped > upper)] *= -1
-        jt = np.empty((x.size, f0.size))
-        for i in range(x.size):
-            x1 = x.copy()
-            x1[i] = x[i] + step[i]
-            jt[i] = (residuals(x1) - f0) / ((x[i] + step[i]) - x[i])
-        return jt.T
-
-    result = optimize.least_squares(
-        fun, x0=x0, jac=jac, bounds=(lower, upper), max_nfev=200
-    )
-    return result.x
+    sse = profile(grid)[0]
+    padded = np.concatenate(([np.inf], sse, [np.inf]))
+    minima = np.flatnonzero((sse <= padded[:-2]) & (sse <= padded[2:]))
+    centres = grid[minima[np.argsort(sse[minima], kind="stable")[:_BASINS]]]
+    step = np.diff(grid).max()
+    offsets = np.linspace(-1.0, 1.0, _ZOOM)
+    rows = np.arange(centres.size)
+    while step > _XTOL:
+        points = np.clip(centres[:, None] + step * offsets, grid[0], grid[-1])
+        values = profile(points.ravel())[0].reshape(points.shape)
+        best = np.argmin(values, axis=1)
+        centres, sse = points[rows, best], values[rows, best]
+        step *= 2.0 / (_ZOOM - 1)
+    return float(centres[np.argmin(sse)])
 
 
 _BOUNDED_FAMILIES = {
@@ -114,59 +113,61 @@ _BOUNDED_FAMILIES = {
 
 
 def _fit_bounded(emp: EmpiricalVariogram, kind: str) -> FittedVariogram:
-    h, g, w = emp.lags, emp.gammas, emp.counts.astype(np.float64)
-    sqrt_w = np.sqrt(w)
-    sill0 = max(float(np.max(g)), 1e-12)
-    range0 = max(float(h[np.argmax(g >= 0.95 * sill0)]), float(h[0]))
+    """Search the log range.  At a fixed range the interior least-squares
+    (nugget, sill) is the bounded optimum when feasible, else the better of
+    the ``nugget = 0`` and ``sill = _FLOOR`` edges, each clamped to its bound."""
     cls = _BOUNDED_FAMILIES[kind]
+    h, g, w = emp.lags, emp.gammas, emp.counts.astype(np.float64)
+    total = w.sum()
+    g_mean = float(w @ g) / total
+    w_g, w_gc = w * g, w * (g - g_mean)
 
-    def residuals(params: np.ndarray) -> np.ndarray:
-        sill, rng, nugget = params
-        model = cls(sill=max(sill, 1e-12), range_=max(rng, 1e-9), nugget_=max(nugget, 0.0))
-        # Every empirical lag is > 0, so the origin handling of
-        # ``model(h)`` would select these same values.
-        return sqrt_w * (model._gamma_positive(h) - g)
+    def profile(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        f = cls.shape(h / np.exp(x)[:, None])
+        f_mean = (f @ w) / total
+        centred = f - f_mean[:, None]
+        s_ff = (centred * centred) @ w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sill = (centred @ w_gc) / s_ff
+        nugget = g_mean - sill * f_mean
+        interior = (sill >= _FLOOR) & (nugget >= 0)  # False where s_ff = 0
+        edge_sill = np.maximum((f @ w_g) / (s_ff + total * f_mean**2), _FLOOR)
+        edge_nugget = np.maximum(g_mean - _FLOOR * f_mean, 0.0)
+        nuggets = np.stack((np.where(interior, nugget, 0.0), edge_nugget))
+        sills = np.stack((np.where(interior, sill, edge_sill), np.full_like(sill, _FLOOR)))
+        sse = np.square(nuggets[..., None] + sills[..., None] * f - g) @ w
+        pick = (np.argmin(sse, axis=0), np.arange(x.size))
+        return sse[pick], nuggets[pick], sills[pick]
 
-    sill, rng, nugget = _least_squares(
-        residuals,
-        np.array([sill0, range0, 0.0]),
-        np.array([1e-12, 1e-9, 0.0]),
-        np.array([np.inf, np.inf, np.inf]),
-    )
-    model = cls(sill=max(float(sill), 1e-12), range_=max(float(rng), 1e-9), nugget_=max(float(nugget), 0.0))
-    sse = float(np.sum(w * (np.asarray(model(h)) - g) ** 2))
-    return FittedVariogram(kind, model, sse)
+    lo, mid, hi = np.log(np.array([h[0], h[-1], h[-1]]) * _RANGE_SPAN)
+    grid = np.concatenate((np.linspace(lo, mid, _GRID), np.linspace(mid, hi, _TAIL + 1)[1:]))
+    x = _search(profile, grid)
+    _, nugget, sill = profile(np.array([x]))
+    model = cls(sill=float(sill[0]), range_=float(np.exp(x)), nugget_=float(nugget[0]))
+    return FittedVariogram(kind, model, _weighted_sse(model, emp))
 
 
 def _fit_power(emp: EmpiricalVariogram) -> FittedVariogram:
+    """Search the exponent; at a fixed one the scale has a closed form."""
     h, g, w = emp.lags, emp.gammas, emp.counts.astype(np.float64)
-    sqrt_w = np.sqrt(w)
 
-    def residuals(params: np.ndarray) -> np.ndarray:
-        scale, exponent = params
-        model = PowerVariogram(scale=max(scale, 1e-12), exponent=float(np.clip(exponent, 1e-3, 1.999)))
-        return sqrt_w * (model._gamma_positive(h) - g)
+    def profile(exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        f = h ** exponents[:, None]
+        scale = np.maximum((f @ (w * g)) / ((f * f) @ w), _FLOOR)
+        return np.square(scale[:, None] * f - g) @ w, scale
 
-    scale0 = max(float(np.max(g)) / max(float(np.max(h)), 1.0), 1e-12)
-    scale, exponent = _least_squares(
-        residuals,
-        np.array([scale0, 1.0]),
-        np.array([1e-12, 1e-3]),
-        np.array([np.inf, 1.999]),
-    )
-    model = PowerVariogram(scale=max(float(scale), 1e-12), exponent=float(np.clip(exponent, 1e-3, 1.999)))
-    sse = float(np.sum(w * (np.asarray(model(h)) - g) ** 2))
-    return FittedVariogram("power", model, sse)
+    exponent = _search(profile, np.linspace(*_EXPONENT_SPAN, _GRID))
+    model = PowerVariogram(scale=float(profile(np.array([exponent]))[1][0]), exponent=exponent)
+    return FittedVariogram("power", model, _weighted_sse(model, emp))
 
 
 def fit_variogram(emp: EmpiricalVariogram, kind: str = "spherical") -> FittedVariogram:
     """Fit one model family to an empirical variogram.
 
-    Families with several parameters need at least three distinct lags; with
-    fewer lags, or when the optimizer rejects a degenerate lag layout, the
-    fit silently degrades to the linear model, which is always identifiable
-    (and whose scale does not affect kriging weights).  Non-finite
-    ``emp.gammas`` are rejected with a ``ValueError``.
+    Families with several parameters need at least three distinct lags;
+    with fewer, the fit is the linear model, which is always identifiable
+    (and whose scale does not affect kriging weights).  ``weighted_sse`` is
+    that of the returned model.  Non-finite ``emp.gammas`` raise ``ValueError``.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown variogram kind {kind!r}; expected one of {MODEL_KINDS}")
@@ -177,11 +178,7 @@ def fit_variogram(emp: EmpiricalVariogram, kind: str = "spherical") -> FittedVar
         )
     if kind == "linear" or emp.n_lags < 3:
         return _fit_linear(emp)
-    try:
-        return _fit_power(emp) if kind == "power" else _fit_bounded(emp, kind)
-    except (ValueError, np.linalg.LinAlgError):
-        # Optimizer failures (degenerate lag layouts) fall back to linear.
-        return _fit_linear(emp)
+    return _fit_power(emp) if kind == "power" else _fit_bounded(emp, kind)
 
 
 def select_variogram(

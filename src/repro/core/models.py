@@ -112,10 +112,13 @@ class SphericalVariogram(VariogramModel):
     def nugget(self) -> float:
         return self.nugget_
 
+    @staticmethod
+    def shape(r: np.ndarray) -> np.ndarray:
+        """Unit-sill, zero-nugget model at scaled lags ``r = h / range_``."""
+        return np.where(r >= 1.0, 1.0, 1.5 * r - 0.5 * r**3)
+
     def _gamma_positive(self, h: np.ndarray) -> np.ndarray:
-        r = h / self.range_
-        inside = self.nugget_ + self.sill * (1.5 * r - 0.5 * r**3)
-        return np.where(h >= self.range_, self.nugget_ + self.sill, inside)
+        return self.nugget_ + self.sill * self.shape(h / self.range_)
 
 
 @dataclass(frozen=True)
@@ -138,8 +141,17 @@ class ExponentialVariogram(VariogramModel):
     def nugget(self) -> float:
         return self.nugget_
 
+    @staticmethod
+    def shape(r: np.ndarray) -> np.ndarray:
+        """Unit-sill, zero-nugget model at scaled lags ``r = h / range_``.
+
+        ``-expm1`` keeps full precision where ``1 - exp`` would cancel
+        (lags far below the range, where fits often end).
+        """
+        return -np.expm1(-3.0 * r)
+
     def _gamma_positive(self, h: np.ndarray) -> np.ndarray:
-        return self.nugget_ + self.sill * (1.0 - np.exp(-3.0 * h / self.range_))
+        return self.nugget_ + self.sill * self.shape(h / self.range_)
 
 
 @dataclass(frozen=True)
@@ -162,8 +174,14 @@ class GaussianVariogram(VariogramModel):
     def nugget(self) -> float:
         return self.nugget_
 
+    @staticmethod
+    def shape(r: np.ndarray) -> np.ndarray:
+        """Unit-sill, zero-nugget model at scaled lags ``r = h / range_``
+        (``-expm1`` for precision, as in :class:`ExponentialVariogram`)."""
+        return -np.expm1(-3.0 * r**2)
+
     def _gamma_positive(self, h: np.ndarray) -> np.ndarray:
-        return self.nugget_ + self.sill * (1.0 - np.exp(-3.0 * (h / self.range_) ** 2))
+        return self.nugget_ + self.sill * self.shape(h / self.range_)
 
 
 @dataclass(frozen=True)

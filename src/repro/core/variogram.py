@@ -46,6 +46,8 @@ class EmpiricalVariogram:
             raise ValueError("empirical variogram needs at least one lag")
         if np.any(np.diff(self.lags) <= 0):
             raise ValueError("lags must be strictly increasing")
+        if self.lags[0] <= 0:
+            raise ValueError("lags must be positive (gamma(0) = 0 by definition)")
 
     @property
     def n_lags(self) -> int:

@@ -28,6 +28,13 @@ def test_committed_baselines_match_gated_registry():
 
 
 @pytest.mark.parametrize("path", BASELINES, ids=lambda p: p.name)
+def test_committed_baseline_has_a_known_kind(path):
+    from repro.bench.gates import KNOWN_BENCHMARKS
+
+    assert json.loads(path.read_text()).get("benchmark") in KNOWN_BENCHMARKS
+
+
+@pytest.mark.parametrize("path", BASELINES, ids=lambda p: p.name)
 def test_committed_baseline_passes_its_acceptance(path):
     report = json.loads(path.read_text())
     acceptance = report.get("acceptance")

@@ -193,6 +193,10 @@ class TestGateEvaluate:
         assert result.failures == []
         assert any("not gated" in note for note in result.notes)
 
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError, match=r"unknown benchmark kind 'nonsense'.*query_engine"):
+            evaluate({"benchmark": "nonsense"}, {}, 2.0)
+
 
 class TestHistorySchema:
     def test_entry_stamped_with_schema_version_and_seed(self):

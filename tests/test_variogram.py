@@ -113,6 +113,12 @@ class TestEmpiricalVariogramCallable:
                 gammas=np.array([1.0, 2.0]),
                 counts=np.array([1]),
             )
+        with pytest.raises(ValueError, match="positive"):
+            EmpiricalVariogram(
+                lags=np.array([0.0, 1.0, 2.0]),
+                gammas=np.array([0.0, 1.0, 2.0]),
+                counts=np.array([1, 1, 1]),
+            )
 
 
 class TestProperties:

@@ -66,6 +66,22 @@ class TestBoundedModels:
         m = GaussianVariogram(sill=1.0, range_=10.0)
         assert m(0.01) / 0.01 < 0.01
 
+    @pytest.mark.parametrize("h", [1.0, 7.0, 250.0])
+    def test_long_range_keeps_full_precision(self, h):
+        # At range_ = 1e6 h, ``1 - exp(-x)`` loses 5e-12 (exponential) and
+        # 1.5e-5 (gaussian) relative to cancellation.  Compare with the
+        # series of 1 - e^-x: its first-order term 3 sill h / range
+        # (3 sill h^2 / range^2) plus the x^2 and x^3 terms, which are
+        # still above 1e-12 relative here.
+        sill, range_ = 2.5, 1e6 * h
+        for cls, x in (
+            (ExponentialVariogram, 3.0 * h / range_),
+            (GaussianVariogram, 3.0 * h**2 / range_**2),
+        ):
+            expected = sill * (x - x**2 / 2 + x**3 / 6)
+            got = cls(sill=sill, range_=range_)(h)
+            assert abs(got - expected) <= 1e-12 * expected, cls.__name__
+
     def test_nugget_included(self):
         m = SphericalVariogram(sill=1.0, range_=5.0, nugget_=0.5)
         assert m(0.0) == 0.0  # gamma(0) = 0 by definition
