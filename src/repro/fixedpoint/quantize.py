@@ -39,25 +39,31 @@ class Overflow(enum.Enum):
     """Two's-complement wrap-around."""
 
 
-def _round(scaled: np.ndarray, rounding: Rounding) -> np.ndarray:
+def _round(codes: np.ndarray, rounding: Rounding) -> None:
+    """Round the scaled values in ``codes`` to integers, in place."""
     if rounding is Rounding.TRUNCATE:
-        return np.floor(scaled)
-    if rounding is Rounding.NEAREST:
-        # Ties away from zero: floor(|x| + 0.5) * sign(x).
-        return np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-    if rounding is Rounding.CONVERGENT:
-        return np.rint(scaled)
-    raise TypeError(f"unsupported rounding mode: {rounding!r}")
+        np.floor(codes, out=codes)
+    elif rounding is Rounding.NEAREST:
+        # Ties away from zero: trunc(x + copysign(0.5, x)), which equals
+        # sign(x) * floor(|x| + 0.5) bit for bit because IEEE addition is
+        # sign-symmetric.  Adding +0.0 first turns -0.0 into +0.0, as the
+        # sign(x) form does.
+        codes += 0.0
+        codes += np.copysign(0.5, codes)
+        np.trunc(codes, out=codes)
+    elif rounding is Rounding.CONVERGENT:
+        np.rint(codes, out=codes)
+    else:
+        raise TypeError(f"unsupported rounding mode: {rounding!r}")
 
 
-def _overflow(codes: np.ndarray, fmt: QFormat, overflow: Overflow) -> np.ndarray:
-    min_code = fmt.min_value / fmt.step
-    max_code = fmt.max_value / fmt.step
+def _overflow(codes: np.ndarray, fmt: QFormat, step: float, overflow: Overflow) -> np.ndarray:
+    min_code = fmt.min_value / step
+    max_code = fmt.max_value / step
     if overflow is Overflow.SATURATE:
-        return np.clip(codes, min_code, max_code)
+        return np.clip(codes, min_code, max_code, out=codes)
     if overflow is Overflow.WRAP:
-        span = fmt.levels
-        return (codes - min_code) % span + min_code
+        return (codes - min_code) % fmt.levels + min_code
     raise TypeError(f"unsupported overflow mode: {overflow!r}")
 
 
@@ -96,7 +102,9 @@ def quantize(
     array = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(array)):
         raise ValueError("quantize received non-finite values")
-    scaled = array / fmt.step
-    codes = _round(scaled, rounding)
-    codes = _overflow(codes, fmt, overflow)
-    return codes * fmt.step
+    step = fmt.step
+    codes = np.divide(array, step, out=np.empty(array.shape))
+    _round(codes, rounding)
+    codes = _overflow(codes, fmt, step, overflow)
+    codes *= step
+    return codes if codes.ndim else codes[()]  # a scalar for a scalar

@@ -3,7 +3,12 @@
 The module interpolates 8x8 blocks at quarter-pel motion-vector positions
 with the standard separable 8-tap DCT-IF filters: a horizontal pass over a
 ``15 x 15`` source region produces a ``15 x 8`` intermediate buffer, and a
-vertical pass reduces it to the ``8 x 8`` prediction block.
+vertical pass reduces it to the ``8 x 8`` prediction block.  All blocks are
+filtered in one pass: the four phase filters form a ``(4, 8)`` table that is
+quantized once per simulation, and each block gathers its own horizontal and
+vertical taps from it by its phase, so a simulation makes one
+:func:`~repro.fixedpoint.quantize.quantize` call per node (23) whatever the
+mix of motion-vector phases.
 
 The 23 optimizable word-length variables (``Nv = 23`` in the paper's Table I)
 are the quantization nodes of that pipeline:
@@ -38,6 +43,7 @@ __all__ = ["MotionCompensationBenchmark"]
 
 BLOCK_SIZE = 8
 _REGION = BLOCK_SIZE + N_TAPS - 1  # 15: pixels needed per dimension
+_TAPS = np.stack([HEVC_LUMA_FILTERS[phase] for phase in range(4)])  # (4, 8), row = phase
 
 
 def _node_names() -> tuple[str, ...]:
@@ -47,6 +53,9 @@ def _node_names() -> tuple[str, ...]:
     names += [f"v_mac{k}" for k in range(N_TAPS)]
     names += ["v_out", "output"]
     return tuple(names)
+
+
+_NODE_INDEX = {name: i for i, name in enumerate(_node_names())}
 
 
 class MotionCompensationBenchmark:
@@ -66,28 +75,18 @@ class MotionCompensationBenchmark:
 
     def __init__(self, *, workload: BlockWorkload | None = None, seed: int = 3) -> None:
         self.workload = workload if workload is not None else BlockWorkload.generate(seed=seed)
-        self._regions, self._groups = self._gather_regions()
+        self._regions = self._gather_regions()
         self._reference = self._run(None)
 
     # ------------------------------------------------------------------
     # workload preparation
     # ------------------------------------------------------------------
-    def _gather_regions(self) -> tuple[np.ndarray, dict[tuple[int, int], np.ndarray]]:
-        """Extract the 15x15 source region of every block and group by phase."""
+    def _gather_regions(self) -> np.ndarray:
+        """Copy the ``(n, 15, 15)`` source region of every block out of the frame."""
         wl = self.workload
-        n = wl.n_blocks
-        regions = np.empty((n, _REGION, _REGION))
-        offset = N_TAPS // 2 - 1  # 3: taps to the left/top of the sample
-        for i in range(n):
-            r, c = wl.positions[i]
-            regions[i] = wl.frame[
-                r - offset : r - offset + _REGION, c - offset : c - offset + _REGION
-            ]
-        groups: dict[tuple[int, int], np.ndarray] = {}
-        for i in range(n):
-            key = (int(wl.phases[i, 0]), int(wl.phases[i, 1]))
-            groups.setdefault(key, []).append(i)  # type: ignore[arg-type]
-        return regions, {k: np.asarray(v, dtype=np.int64) for k, v in groups.items()}
+        windows = np.lib.stride_tricks.sliding_window_view(wl.frame, (_REGION, _REGION))
+        corners = wl.positions - (N_TAPS // 2 - 1)  # 3 taps left of / above the sample
+        return windows[corners[:, 0], corners[:, 1]]
 
     # ------------------------------------------------------------------
     # fixed-point helpers
@@ -103,55 +102,38 @@ class MotionCompensationBenchmark:
     def _run(self, word_lengths: np.ndarray | None) -> np.ndarray:
         """Interpolate every block; quantize pipeline nodes when ``word_lengths`` given.
 
+        All blocks go through one pass: each block's taps are gathered from
+        the quantized filter table by its phase and broadcast over its
+        region, so a block's result is bit for bit that of filtering it alone.
+
         Returns an ``(n_blocks, 8, 8)`` array of prediction blocks.
         """
-        exact = word_lengths is None
-        if not exact:
-            w = {name: int(word_lengths[i]) for i, name in enumerate(self.VARIABLE_NAMES)}
-            input_fmt = self._fmt(w["input"], 0, signed=False)
-            h_coeff_fmt = self._fmt(w["h_coeff"], 0)
-            h_mac_fmts = [self._fmt(w[f"h_mac{k}"], 1) for k in range(N_TAPS)]
-            h_out_fmt = self._fmt(w["h_out"], 1)
-            buffer_fmt = self._fmt(w["buffer"], 1)
-            v_coeff_fmt = self._fmt(w["v_coeff"], 0)
-            v_mac_fmts = [self._fmt(w[f"v_mac{k}"], 1) for k in range(N_TAPS)]
-            v_out_fmt = self._fmt(w["v_out"], 1)
-            output_fmt = self._fmt(w["output"], 0, signed=False)
 
-        n = self.workload.n_blocks
-        out = np.empty((n, BLOCK_SIZE, BLOCK_SIZE))
-        for (phase_v, phase_h), indices in self._groups.items():
-            regions = self._regions[indices]
-            if not exact:
-                regions = quantize(regions, input_fmt)
+        def q(values: np.ndarray, node: str, integer_bits: int, signed: bool = True) -> np.ndarray:
+            if word_lengths is None:
+                return values
+            fmt = self._fmt(word_lengths[_NODE_INDEX[node]], integer_bits, signed=signed)
+            return quantize(values, fmt)
 
-            h_taps = HEVC_LUMA_FILTERS[phase_h]
-            v_taps = HEVC_LUMA_FILTERS[phase_v]
-            if not exact:
-                h_taps = quantize(h_taps, h_coeff_fmt)
-                v_taps = quantize(v_taps, v_coeff_fmt)
+        phases = self.workload.phases
+        h_taps = q(_TAPS, "h_coeff", 0)[phases[:, 1], None, None, :]  # (n, 1, 1, 8)
+        v_taps = q(_TAPS, "v_coeff", 0)[phases[:, 0], None, None, :]
 
-            # Horizontal pass: (g, 15, 15) -> (g, 15, 8).
-            windows = np.lib.stride_tricks.sliding_window_view(regions, N_TAPS, axis=2)
-            acc = np.zeros(windows.shape[:3])
-            for k in range(N_TAPS):
-                acc = acc + h_taps[k] * windows[..., k]
-                if not exact:
-                    acc = quantize(acc, h_mac_fmts[k])
-            intermediate = acc if exact else quantize(acc, h_out_fmt)
-            if not exact:
-                intermediate = quantize(intermediate, buffer_fmt)
+        # Horizontal pass: (n, 15, 15) -> (n, 15, 8).
+        regions = q(self._regions, "input", 0, signed=False)
+        windows = np.lib.stride_tricks.sliding_window_view(regions, N_TAPS, axis=2)
+        acc = np.zeros(windows.shape[:3])
+        for k in range(N_TAPS):
+            acc = q(acc + h_taps[..., k] * windows[..., k], f"h_mac{k}", 1)
+        intermediate = q(q(acc, "h_out", 1), "buffer", 1)
 
-            # Vertical pass: (g, 15, 8) -> (g, 8, 8).
-            windows = np.lib.stride_tricks.sliding_window_view(intermediate, N_TAPS, axis=1)
-            acc = np.zeros(windows.shape[:3])
-            for k in range(N_TAPS):
-                acc = acc + v_taps[k] * windows[..., k]
-                if not exact:
-                    acc = quantize(acc, v_mac_fmts[k])
-            blocks = acc if exact else quantize(quantize(acc, v_out_fmt), output_fmt)
-            out[indices] = np.clip(blocks, 0.0, 1.0)
-        return out
+        # Vertical pass: (n, 15, 8) -> (n, 8, 8).
+        windows = np.lib.stride_tricks.sliding_window_view(intermediate, N_TAPS, axis=1)
+        acc = np.zeros(windows.shape[:3])
+        for k in range(N_TAPS):
+            acc = q(acc + v_taps[..., k] * windows[..., k], f"v_mac{k}", 1)
+        blocks = q(q(acc, "v_out", 1), "output", 0, signed=False)
+        return np.clip(blocks, 0.0, 1.0, out=blocks)
 
     # ------------------------------------------------------------------
     # public API

@@ -113,3 +113,75 @@ class TestProperties:
         lower = float(quantize(value - 0.2, FMT))
         upper = float(quantize(value + 0.2, FMT))
         assert lower <= upper
+
+
+def _formula(values, fmt, rounding, overflow):
+    """The quantizer written out term by term, one fresh array per step."""
+    scaled = np.asarray(values, dtype=np.float64) / fmt.step
+    if rounding is Rounding.TRUNCATE:
+        codes = np.floor(scaled)
+    elif rounding is Rounding.NEAREST:
+        codes = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
+    else:
+        codes = np.rint(scaled)
+    min_code = fmt.min_value / fmt.step
+    max_code = fmt.max_value / fmt.step
+    if overflow is Overflow.SATURATE:
+        codes = np.clip(codes, min_code, max_code)
+    else:
+        codes = (codes - min_code) % fmt.levels + min_code
+    return codes * fmt.step
+
+
+class TestBitwiseAgainstFormula:
+    """``quantize`` equals the term-by-term formula bit for bit, sign of zero included."""
+
+    @staticmethod
+    def _values(rng, fmt):
+        step = fmt.step
+        bound = 2.0**fmt.integer_bits
+        ties = (rng.integers(-300, 300, size=40) + 0.5) * step
+        return np.concatenate(
+            [
+                [0.0, -0.0, step / 4, -step / 4, step / 2, -step / 2],
+                ties,
+                np.nextafter(ties, np.inf),
+                np.nextafter(ties, -np.inf),
+                rng.uniform(-3 * bound, 3 * bound, size=60),  # many saturate
+                rng.normal(0.0, bound / 4, size=60),
+                [fmt.min_value, fmt.max_value, 1e30, -1e30],
+            ]
+        )
+
+    def test_random_formats_all_modes(self):
+        rng = np.random.default_rng(2020)
+        for _ in range(400):
+            signed = bool(rng.integers(2))
+            integer_bits = int(rng.integers(-4, 9))
+            frac_bits = int(rng.integers(max(1 - int(signed) - integer_bits, -3), 31))
+            fmt = QFormat(integer_bits, frac_bits, signed)
+            values = self._values(rng, fmt)
+            for rounding in Rounding:
+                for overflow in Overflow:
+                    got = quantize(values, fmt, rounding=rounding, overflow=overflow)
+                    want = _formula(values, fmt, rounding, overflow)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
+                        fmt, rounding, overflow)
+
+    def test_negative_zero_rounds_to_positive_zero(self):
+        assert not np.signbit(quantize(np.array([-0.0]), FMT))[0]
+        assert np.signbit(quantize(np.array([-0.01]), FMT))[0]
+
+    def test_scalar_in_scalar_out(self):
+        for value in (0.3, -0.3, -0.0, 5.0):
+            got = quantize(value, FMT)
+            assert np.ndim(got) == 0
+            assert np.float64(got).tobytes() == np.float64(
+                _formula(value, FMT, Rounding.NEAREST, Overflow.SATURATE)).tobytes()
+
+    def test_input_not_modified(self):
+        x = np.array([0.3, -0.3, 2.0])
+        before = x.copy()
+        quantize(x, FMT)
+        quantize(x[::2], FMT, rounding=Rounding.TRUNCATE, overflow=Overflow.WRAP)
+        np.testing.assert_array_equal(x, before)

@@ -1,11 +1,20 @@
 """Unit tests for the HEVC motion-compensation benchmark (repro.video)."""
 
+import itertools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.experiments.registry import build_hevc
+from repro.fixedpoint.qformat import QFormat
+from repro.fixedpoint.quantize import quantize
 from repro.video.blocks import BlockWorkload, synthetic_frame
 from repro.video.filters import HEVC_LUMA_FILTERS, N_TAPS, luma_filter
 from repro.video.motion_comp import MotionCompensationBenchmark
+
+GOLDEN = Path(__file__).parent / "data" / "hevc_golden.json"
 
 
 @pytest.fixture(scope="module")
@@ -126,3 +135,104 @@ class TestBenchmark:
     def test_deterministic(self, mc):
         w = list(range(8, 31))
         np.testing.assert_array_equal(mc.simulate(w), mc.simulate(w))
+
+
+def _per_group_oracle(bench, word_lengths):
+    """The simulator as one pass per (vertical, horizontal) phase group.
+
+    An independent statement of the pipeline: regions are copied block by
+    block, blocks sharing a phase pair are filtered together with that
+    pair's scalar taps, and every node is quantized per group.
+    """
+    wl = bench.workload
+    regions = np.empty((wl.n_blocks, 15, 15))
+    for i, (r, c) in enumerate(wl.positions):
+        regions[i] = wl.frame[r - 3 : r + 12, c - 3 : c + 12]
+    groups = {}
+    for i, (pv, ph) in enumerate(wl.phases):
+        groups.setdefault((int(pv), int(ph)), []).append(i)
+
+    def q(values, node, integer_bits, signed=True):
+        if word_lengths is None:
+            return values
+        w = int(word_lengths[bench.VARIABLE_NAMES.index(node)])
+        return quantize(values, QFormat(integer_bits, w - int(signed) - integer_bits, signed))
+
+    out = np.empty((wl.n_blocks, 8, 8))
+    for (pv, ph), indices in groups.items():
+        data = q(regions[indices], "input", 0, signed=False)
+        h_taps = q(HEVC_LUMA_FILTERS[ph], "h_coeff", 0)
+        v_taps = q(HEVC_LUMA_FILTERS[pv], "v_coeff", 0)
+        windows = np.lib.stride_tricks.sliding_window_view(data, N_TAPS, axis=2)
+        acc = np.zeros(windows.shape[:3])
+        for k in range(N_TAPS):
+            acc = q(acc + h_taps[k] * windows[..., k], f"h_mac{k}", 1)
+        intermediate = q(q(acc, "h_out", 1), "buffer", 1)
+        windows = np.lib.stride_tricks.sliding_window_view(intermediate, N_TAPS, axis=1)
+        acc = np.zeros(windows.shape[:3])
+        for k in range(N_TAPS):
+            acc = q(acc + v_taps[k] * windows[..., k], f"v_mac{k}", 1)
+        out[indices] = np.clip(q(q(acc, "v_out", 1), "output", 0, signed=False), 0.0, 1.0)
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestOnePassKernel:
+    """The one-pass simulator against the per-phase-group oracle, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def all_phases(self):
+        pairs = [p for p in itertools.product(range(4), repeat=2) if p != (0, 0)]
+        base = BlockWorkload.generate(n_blocks=2 * len(pairs), seed=11)
+        workload = BlockWorkload(
+            frame=base.frame, positions=base.positions, phases=np.array(pairs * 2)
+        )
+        return MotionCompensationBenchmark(workload=workload)
+
+    def test_workload_covers_every_fractional_phase_pair(self, all_phases):
+        pairs = {tuple(p) for p in all_phases.workload.phases.tolist()}
+        assert len(pairs) == 15 and (0, 0) not in pairs
+
+    def test_reference_matches_oracle(self, all_phases):
+        assert _same_bits(all_phases.reference(), _per_group_oracle(all_phases, None))
+
+    def test_random_word_lengths_match_oracle(self, all_phases):
+        rng = np.random.default_rng(7)
+        for w in rng.integers(4, 21, size=(40, 23)):
+            assert _same_bits(all_phases.simulate(w), _per_group_oracle(all_phases, w))
+
+    @pytest.mark.parametrize("h_coeff, v_coeff", [(4, 12), (12, 4), (5, 20), (20, 6)])
+    def test_distinct_coefficient_precisions_match_oracle(self, all_phases, h_coeff, v_coeff):
+        w = np.full(23, 18)
+        w[1], w[12] = h_coeff, v_coeff
+        assert _same_bits(all_phases.simulate(w), _per_group_oracle(all_phases, w))
+
+    def test_default_workload_matches_oracle(self):
+        bench = build_hevc("full", seed=1).substrate
+        rng = np.random.default_rng(8)
+        for w in rng.integers(4, 21, size=(10, 23)):
+            assert _same_bits(bench.simulate(w), _per_group_oracle(bench, w))
+
+
+class TestGolden:
+    """Outputs pinned bit for bit against values recorded from the per-group kernel.
+
+    ``tests/data/hevc_golden.json`` holds ``float.hex`` of the noise power
+    for 64 word-length vectors (the all-4 and all-20 corners, then 62 drawn
+    uniformly from [4, 20]) and of the reference's sum, for two workloads.
+    """
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN.read_text())
+
+    @pytest.mark.parametrize("case", ["full_seed1", "small_seed3"])
+    def test_noise_power_is_bit_identical(self, golden, case):
+        spec = golden["cases"][case]
+        bench = build_hevc(spec["scale"], seed=spec["seed"]).substrate
+        assert float.hex(float(bench.reference().sum())) == spec["reference_sum"]
+        got = [float.hex(bench.noise_power_db(w)) for w in golden["vectors"]]
+        assert got == spec["noise_power_db"]
