@@ -59,7 +59,7 @@ from repro.core.kriging import (
 from repro.core.models import LinearVariogram, VariogramModel, variogram_from_state
 from repro.core.neighborhood import find_neighbors
 from repro.core.universal import adaptive_linear_drift, universal_kriging
-from repro.core.variogram import PairLagStore, empirical_semivariogram
+from repro.core.variogram import LagAccumulator, empirical_semivariogram
 from repro.utils.quantiles import QuantileSketch
 
 __all__ = ["EstimationOutcome", "KrigingEstimator", "SolvePhaseStats"]
@@ -304,7 +304,9 @@ class KrigingEstimator:
     refit_interval:
         Re-identify the variogram every that-many new simulations;
         ``None`` identifies once and keeps the model (the paper's stated
-        usage).
+        usage).  The empirical variogram is kept as per-lag running sums
+        (:class:`~repro.core.variogram.LagAccumulator`), so a refit costs
+        the new points' distances, not a pass over every pair.
     max_neighbors:
         Optional cap on the kriging support size (closest first).
     max_variance:
@@ -377,9 +379,10 @@ class KrigingEstimator:
         self._max_variance = max_variance
         self._fitted: Callable[[np.ndarray], np.ndarray] | None = None
         self._fitted_at: int = -1
-        # Pair lags of the cache rows seen so far, extended at each refit.
-        # Derived state: never serialized, rebuilt from the cache when empty.
-        self._pair_lags = PairLagStore(self.metric)
+        # Per-lag sums of Eq. 4 over the cache rows seen so far, extended at
+        # each refit.  Derived state: never serialized, rebuilt from the
+        # cache when empty.
+        self._lag_sums = LagAccumulator(self.metric)
 
     # ------------------------------------------------------------------
     # variogram management
@@ -401,7 +404,7 @@ class KrigingEstimator:
                 self.cache.points,
                 self.cache.values,
                 metric=self.metric,
-                store=self._pair_lags,
+                store=self._lag_sums,
             )
             fit_start = time.perf_counter()
             if spec == "auto":
@@ -714,7 +717,9 @@ class KrigingEstimator:
         serialized: the first is supplied to :meth:`from_state`, the second
         is a derived performance layer rebuilt on restore (decisions and
         cache contents never depend on it).  Neither is the factor cache:
-        a restored estimator starts with it cold.
+        a restored estimator starts with it cold.  Nor are the per-lag
+        sums of the empirical variogram: the first refit after a restore
+        absorbs the whole cache, bitwise equal to the sums it replaces.
 
         Raises ``ValueError`` when the variogram spec is a custom callable
         (only :class:`~repro.core.models.VariogramModel` instances and kind

@@ -5,14 +5,19 @@ semi-variogram at lag ``d`` is::
 
     gamma(d) = 1 / (2 |N(d)|) * sum_{(j,k) in N(d)} (lambda(e_j) - lambda(e_k))^2
 
-with ``N(d)`` the set of point pairs at distance ``d``.  On the integer
-configuration lattices of this library L1 lags are integers, so the default
-estimator groups pairs by exact lag; continuous inputs can be binned.
+with ``N(d)`` the set of point pairs at distance ``d``.  Pairs are grouped
+by exact lag, which on the integer configuration lattices of this library
+are few.
 
-A caller that re-estimates as its point set grows (the estimator refits
-after every simulation) passes a :class:`PairLagStore`: it keeps the
-pair lags of the points seen so far and computes only the new points'
-distances, with results bitwise equal to the stateless estimate.
+The estimate needs only a running sum and a pair count per lag.  A
+:class:`LagAccumulator` keeps exactly those: absorbing a new point costs
+its O(n Nv) distances to the points before it, and the estimate is one
+division per lag.  A caller that re-estimates as its point set grows (the
+estimator refits after every simulation) keeps one accumulator; the
+stateless estimate absorbs all points into a fresh one.  Pairs enter in
+column-major order, ``(0, j), ..., (j - 1, j)`` for each new ``j``, and
+``np.add.at`` adds them in that order, so one-point, block and bulk
+growth give bitwise-equal estimates.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.distances import DistanceMetric, cross_distances, pairwise_distances
+from repro.core.distances import _PAIRWISE_BLOCK_BYTES, DistanceMetric, cross_distances
 
-__all__ = ["empirical_semivariogram", "EmpiricalVariogram", "PairLagStore"]
+__all__ = ["empirical_semivariogram", "EmpiricalVariogram", "LagAccumulator"]
 
 
 @dataclass(frozen=True)
@@ -64,52 +69,62 @@ class EmpiricalVariogram:
         return result if np.ndim(h) else float(result[0])  # type: ignore[return-value]
 
 
-class PairLagStore:
-    """Append-only lags of all point pairs.
+class LagAccumulator:
+    """Per-lag running sums of Eq. 4 over every pair of absorbed points.
 
-    Lags are stored in column-major upper-triangle order: absorbing point
-    ``j`` appends the lags of pairs ``(0, j), ..., (j - 1, j)``, so a new
-    point costs O(n Nv) distance work instead of an O(n^2 Nv) recompute.
-    The caller guarantees that rows already absorbed never change (the
-    :class:`~repro.core.cache.SimulationCache` is append-only); the store
-    is derived state and is simply rebuilt when empty.
+    ``lags`` (sorted, all positive), ``sums`` (of ``0.5 * (v_i - v_j)^2``)
+    and ``counts`` hold one entry per distinct lag; coincident pairs are
+    dropped.  The caller guarantees that rows already absorbed never
+    change (the :class:`~repro.core.cache.SimulationCache` is
+    append-only); the accumulator is derived state and is simply rebuilt
+    when empty.
     """
 
     def __init__(self, metric: DistanceMetric | str = DistanceMetric.L1) -> None:
         self.metric = DistanceMetric.coerce(metric)
         self.n_points = 0
-        self._lags = np.empty(0)
+        self.lags = np.empty(0)
+        self.sums = np.empty(0)
+        self.counts = np.empty(0, dtype=np.int64)
 
-    def pairs(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(iu, ju, lags)`` of every pair ``iu < ju`` of ``points``, in
-        :func:`numpy.triu_indices` (row-major) order.
-
-        Rows past :attr:`n_points` are absorbed first.  The order matches
-        the stateless estimate, so per-lag sums accumulate identically.
-        """
-        n = points.shape[0]
-        if n < self.n_points:
-            raise ValueError(
-                f"store holds {self.n_points} points but only {n} were given"
-            )
-        if n > self.n_points:
-            self._absorb(points)
-        iu, ju = np.triu_indices(n, k=1)
-        return iu, ju, self._lags[ju * (ju - 1) // 2 + iu]
-
-    def _absorb(self, points: np.ndarray) -> None:
+    def absorb(self, points: np.ndarray, values: np.ndarray) -> None:
+        """Add the pairs of rows past :attr:`n_points` of ``points``."""
         n0, n1 = self.n_points, points.shape[0]
-        start, stop = n0 * (n0 - 1) // 2, n1 * (n1 - 1) // 2
-        if stop > self._lags.size:
-            grown = np.empty(max(stop, 2 * self._lags.size))
-            grown[:start] = self._lags[:start]
-            self._lags = grown
-        # Row r of the block is new point j = n0 + r; its pairs are the
-        # columns i < j.
-        earlier = np.arange(n1)[None, :] < np.arange(n0, n1)[:, None]
-        block = cross_distances(points[n0:n1], points[:n1], self.metric)
-        self._lags[start:stop] = block[earlier]
+        if n1 < n0:
+            raise ValueError(f"accumulator holds {n0} points but only {n1} were given")
+        # Bound the distance block of a bulk absorb; rows go in order, so
+        # the per-lag sums are the same however the rows are split.
+        step = max(1, _PAIRWISE_BLOCK_BYTES // (8 * max(n1, 1)))
+        for start in range(n0, n1, step):
+            self._absorb_rows(points, values, start, min(start + step, n1))
         self.n_points = n1
+
+    def _absorb_rows(self, points: np.ndarray, values: np.ndarray, r0: int, r1: int) -> None:
+        # Row r of the block is new point j = r0 + r; its pairs are the
+        # columns i < j, taken row by row (column-major triangle order).
+        earlier = np.arange(r1)[None, :] < np.arange(r0, r1)[:, None]
+        lags = cross_distances(points[r0:r1], points[:r1], self.metric)[earlier]
+        diff = (values[None, :r1] - values[r0:r1, None])[earlier]
+        keep = lags > 0
+        lags = lags[keep]
+        merged = np.union1d(self.lags, lags)
+        if merged.size > self.lags.size:
+            # New lags: move the old sums and counts to their new slots.
+            old = np.searchsorted(merged, self.lags)
+            sums, counts = np.zeros(merged.size), np.zeros(merged.size, dtype=np.int64)
+            sums[old], counts[old] = self.sums, self.counts
+            self.lags, self.sums, self.counts = merged, sums, counts
+        slots = np.searchsorted(merged, lags)
+        np.add.at(self.sums, slots, 0.5 * diff[keep] ** 2)
+        self.counts += np.bincount(slots, minlength=merged.size)
+
+    def estimate(self) -> EmpiricalVariogram:
+        """Eq. 4 over every absorbed pair."""
+        if self.lags.size == 0:
+            raise ValueError("no usable point pairs (all coincident)")
+        return EmpiricalVariogram(
+            lags=self.lags.copy(), gammas=self.sums / self.counts, counts=self.counts.copy()
+        )
 
 
 def empirical_semivariogram(
@@ -117,9 +132,7 @@ def empirical_semivariogram(
     values: np.ndarray,
     *,
     metric: DistanceMetric | str = DistanceMetric.L1,
-    n_bins: int | None = None,
-    max_lag: float | None = None,
-    store: PairLagStore | None = None,
+    store: LagAccumulator | None = None,
 ) -> EmpiricalVariogram:
     """Estimate the semi-variogram of ``values`` sampled at ``points`` (Eq. 4).
 
@@ -131,16 +144,11 @@ def empirical_semivariogram(
         ``(n,)`` measured metric values.
     metric:
         Distance metric between configurations (paper: L1).
-    n_bins:
-        If ``None`` (default), pairs are grouped by *exact* lag — correct for
-        integer lattices.  Otherwise lags are grouped into ``n_bins`` equal
-        bins and each bin is represented by its mean lag.
-    max_lag:
-        Ignore pairs farther apart than this (defaults to all pairs).
     store:
-        Optional :class:`PairLagStore` holding the pair lags of a prefix
-        of ``points`` (built with the same ``metric``); only the remaining
-        rows' distances are computed, and the store absorbs them.
+        Optional :class:`LagAccumulator` (built with the same ``metric``)
+        that has absorbed a prefix of ``points`` and ``values``; it absorbs
+        the remaining rows.  Without one, a fresh accumulator absorbs all
+        rows, so both routes give the same bits.
 
     Returns
     -------
@@ -156,48 +164,11 @@ def empirical_semivariogram(
         )
     if pts.shape[0] < 2:
         raise ValueError("need at least two points to estimate a variogram")
-
     if store is None:
-        iu, ju = np.triu_indices(pts.shape[0], k=1)
-        lags = pairwise_distances(pts, metric)[iu, ju]
+        store = LagAccumulator(metric)
     elif store.metric is not DistanceMetric.coerce(metric):
         raise ValueError(
-            f"pair store metric {store.metric.value!r} differs from {metric!r}"
+            f"accumulator metric {store.metric.value!r} differs from {metric!r}"
         )
-    else:
-        iu, ju, lags = store.pairs(pts)
-    sqdiff = 0.5 * (vals[iu] - vals[ju]) ** 2
-
-    keep = lags > 0
-    if max_lag is not None:
-        keep &= lags <= max_lag
-    lags, sqdiff = lags[keep], sqdiff[keep]
-    if lags.size == 0:
-        raise ValueError("no usable point pairs (all coincident or beyond max_lag)")
-
-    if n_bins is None:
-        unique_lags, inverse = np.unique(lags, return_inverse=True)
-        # bincount accumulates each lag's pairs in input order, so the
-        # row-major pair order fixes every sum bit for bit.
-        gamma = np.bincount(inverse, weights=sqdiff, minlength=unique_lags.size)
-        counts = np.bincount(inverse, minlength=unique_lags.size).astype(np.int64)
-        gamma /= counts
-        return EmpiricalVariogram(lags=unique_lags, gammas=gamma, counts=counts)
-
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    edges = np.linspace(0.0, float(lags.max()), n_bins + 1)
-    indices = np.clip(np.digitize(lags, edges) - 1, 0, n_bins - 1)
-    bin_lags, bin_gamma, bin_counts = [], [], []
-    for b in range(n_bins):
-        mask = indices == b
-        if not np.any(mask):
-            continue
-        bin_lags.append(float(np.mean(lags[mask])))
-        bin_gamma.append(float(np.mean(sqdiff[mask])))
-        bin_counts.append(int(np.sum(mask)))
-    return EmpiricalVariogram(
-        lags=np.asarray(bin_lags),
-        gammas=np.asarray(bin_gamma),
-        counts=np.asarray(bin_counts, dtype=np.int64),
-    )
+    store.absorb(pts, vals)
+    return store.estimate()

@@ -104,6 +104,13 @@ def quantize(
         raise ValueError("quantize received non-finite values")
     step = fmt.step
     codes = np.divide(array, step, out=np.empty(array.shape))
+    if overflow is Overflow.WRAP:
+        # A value whose code overflows float64 is a whole number of steps,
+        # so taking it modulo the wrap period first (fmod is exact) keeps
+        # its wrapped code and makes the code finite.
+        huge = np.isinf(codes)
+        if huge.any():
+            codes[huge] = np.fmod(array[huge], fmt.levels * step) / step
     _round(codes, rounding)
     codes = _overflow(codes, fmt, step, overflow)
     codes *= step

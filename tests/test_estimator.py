@@ -290,7 +290,7 @@ class TestSolvePhaseStats:
 
 
 class TestIncrementalIdentification:
-    """Refits through the estimator's pair-lag store choose exactly the
+    """Refits through the estimator's lag accumulator choose exactly the
     model a stateless re-identification from the cache chooses."""
 
     @staticmethod
@@ -308,6 +308,7 @@ class TestIncrementalIdentification:
 
         current: dict = {}
         checked: list[int] = []
+        fits: list[tuple] = []
 
         def checking_select(emp, *args, **kwargs):
             est = current["est"]
@@ -319,9 +320,21 @@ class TestIncrementalIdentification:
             fitted = select_variogram(emp, *args, **kwargs)
             assert fitted == select_variogram(stateless)
             checked.append(len(est.cache))
+            fits.append((*(getattr(emp, k).tobytes() for k in ("lags", "gammas", "counts")),
+                         fitted))
             return fitted
 
+        # perfbench times the variogram layer by wrapping the estimator
+        # module's ``empirical_semivariogram``: every refit must call it.
+        real_emp = estimator_mod.empirical_semivariogram
+        emp_calls: list[int] = []
+
+        def counting_emp(*args, **kwargs):
+            emp_calls.append(len(current["est"].cache))
+            return real_emp(*args, **kwargs)
+
         monkeypatch.setattr(estimator_mod, "select_variogram", checking_select)
+        monkeypatch.setattr(estimator_mod, "empirical_semivariogram", counting_emp)
         est = current["est"] = KrigingEstimator(
             simulate,
             points.shape[1],
@@ -336,20 +349,25 @@ class TestIncrementalIdentification:
             est = current["est"] = KrigingEstimator.from_state(simulate, est.to_state())
         outcomes += est.evaluate_batch(points[half:])
         decisions = [(o.interpolated, o.value) for o in outcomes]
-        return est, decisions, checked
+        assert emp_calls == checked and len(emp_calls) == est.stats.n_fits
+        return est, decisions, checked, fits
 
     @pytest.mark.parametrize("name", ["fir", "iir"])
     def test_every_refit_matches_stateless_identification(
         self, name, monkeypatch, request
     ):
         setup = request.getfixturevalue(f"{name}_setup")
-        est, decisions, checked = self._replay(setup, monkeypatch, restore=False)
+        est, decisions, checked, fits = self._replay(setup, monkeypatch, restore=False)
         assert len(checked) == est.stats.n_fits > 3
-        _, resumed, checked_resumed = self._replay(setup, monkeypatch, restore=True)
-        # The restored estimator rebuilt its store from the cache and went
-        # on refitting identically.
+        _, resumed, checked_resumed, fits_resumed = self._replay(
+            setup, monkeypatch, restore=True
+        )
+        # The restored estimator rebuilt its accumulator from the cache at
+        # its first refit and went on refitting identically: every
+        # empirical variogram and fitted model bit for bit.
         assert resumed == decisions
         assert checked_resumed == checked
+        assert fits_resumed == fits
 
     def test_identification_counters_round_trip(self):
         est = KrigingEstimator(

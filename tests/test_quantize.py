@@ -53,6 +53,21 @@ class TestOverflow:
             quantize(values, FMT, overflow=Overflow.WRAP), values
         )
 
+    @pytest.mark.parametrize("rounding", list(Rounding))
+    def test_wrap_code_beyond_float64(self, rounding):
+        # 1e300 / 2**-30 overflows float64; the wrapped code does not.
+        fmt = QFormat(0, 30)
+        with np.errstate(over="ignore"):
+            out = quantize(np.array([1e300, -1e300]), fmt, rounding=rounding,
+                           overflow=Overflow.WRAP)
+            # 2**24 + 33 is 33 modulo the wrap period 2**6 of Q5.1000.
+            wide = quantize(np.array([2.0**24 + 33, -(2.0**24 + 1)]), QFormat(5, 1000),
+                            rounding=rounding, overflow=Overflow.WRAP)
+            saturated = quantize(np.array([1e300, -1e300]), fmt)
+        assert out.tolist() == [0.0, 0.0]
+        assert wide.tolist() == [33.0 - 64.0, -1.0]
+        assert saturated.tolist() == [fmt.max_value, fmt.min_value]
+
 
 class TestValidation:
     def test_rejects_nan(self):

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.variogram import EmpiricalVariogram, PairLagStore, empirical_semivariogram
+from repro.core.variogram import EmpiricalVariogram, LagAccumulator, empirical_semivariogram
 
 
 class TestEquation4:
@@ -33,24 +33,11 @@ class TestEquation4:
         emp = empirical_semivariogram(pts, np.full(15, 7.0))
         np.testing.assert_allclose(emp.gammas, 0.0)
 
-    def test_max_lag_filters_pairs(self):
-        pts = np.array([[0], [1], [10]])
-        vals = np.array([0.0, 1.0, 2.0])
-        emp = empirical_semivariogram(pts, vals, max_lag=2)
-        assert emp.lags.tolist() == [1.0]
-
     def test_coincident_points_ignored(self):
         pts = np.array([[0, 0], [0, 0], [1, 0]])
         vals = np.array([0.0, 0.5, 1.0])
         emp = empirical_semivariogram(pts, vals)
         assert 0.0 not in emp.lags
-
-    def test_binning(self):
-        pts = np.arange(10).reshape(-1, 1)
-        vals = np.arange(10, dtype=float)
-        emp = empirical_semivariogram(pts, vals, n_bins=3)
-        assert emp.n_lags <= 3
-        assert np.all(np.diff(emp.lags) > 0)
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError, match="at least two"):
@@ -144,11 +131,12 @@ class TestProperties:
 
 
 def _add_at_reference(points, values, metric):
-    """Eq. 4 grouped by exact lag, accumulated with ``np.add.at``."""
+    """Eq. 4 grouped by exact lag, pairs ``(i, j)`` accumulated with
+    ``np.add.at`` in column-major order: ``j`` ascending, then ``i < j``."""
     from repro.core.distances import pairwise_distances
 
     dist = pairwise_distances(points, metric)
-    iu, ju = np.triu_indices(points.shape[0], k=1)
+    ju, iu = np.tril_indices(points.shape[0], k=-1)
     lags, sqdiff = dist[iu, ju], 0.5 * (values[iu] - values[ju]) ** 2
     keep = lags > 0
     lags, sqdiff = lags[keep], sqdiff[keep]
@@ -170,19 +158,20 @@ def _assert_bitwise(a: EmpiricalVariogram, b: EmpiricalVariogram) -> None:
 METRICS = ["l1", "l2", "linf"]
 
 
-class TestPairLagStore:
-    """The incremental estimate equals the stateless one bit for bit."""
+def _field(rng, n, nv):
+    points = rng.integers(0, 6, size=(n, nv)).astype(float)
+    values = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+    return points, values
 
-    @staticmethod
-    def _field(rng, n, nv):
-        points = rng.integers(0, 6, size=(n, nv)).astype(float)
-        values = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
-        return points, values
+
+class TestPairLagStore:
+    """The per-lag pair sums of a :class:`LagAccumulator`: the incremental
+    estimate equals the stateless one bit for bit."""
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_one_point_growth(self, metric):
-        points, values = self._field(np.random.default_rng(7), 70, 5)
-        store = PairLagStore(metric)
+        points, values = _field(np.random.default_rng(7), 70, 5)
+        store = LagAccumulator(metric)
         for n in range(2, len(values) + 1):
             incremental = empirical_semivariogram(
                 points[:n], values[:n], metric=metric, store=store
@@ -196,45 +185,81 @@ class TestPairLagStore:
     def test_block_growth_through_blocked_distances(self, metric):
         from repro.core import distances
         # 430 points x 23 variables: the distance cube passes the 32 MB
-        # block limit, so the stateless path takes the blocked branch.
-        points, values = self._field(np.random.default_rng(11), 430, 23)
+        # block limit, so a bulk absorb takes the blocked branch.
+        points, values = _field(np.random.default_rng(11), 430, 23)
         assert 430 * 430 * 23 * 8 > distances._PAIRWISE_BLOCK_BYTES
-        store = PairLagStore(metric)
+        store = LagAccumulator(metric)
         for n in (2, 3, 40, 41, 250, 430):
             incremental = empirical_semivariogram(
                 points[:n], values[:n], metric=metric, store=store
             )
+            # Stateless is an empty accumulator absorbing all rows at once
+            # (a restored estimator's first refit); at 430 rows it takes
+            # the blocked cross-distance branch.
             stateless = empirical_semivariogram(points[:n], values[:n], metric=metric)
             _assert_bitwise(incremental, stateless)
-        # An empty store absorbing everything at once (a restored
-        # estimator's first refit) takes the blocked cross-distance branch.
-        restored = PairLagStore(metric)
-        _assert_bitwise(
-            empirical_semivariogram(points, values, metric=metric, store=restored), stateless
-        )
+        lags, gammas, counts = _add_at_reference(points, values, metric)
+        _assert_bitwise(incremental, EmpiricalVariogram(lags, gammas, counts))
+
+    def test_bulk_absorb_in_row_chunks(self, monkeypatch):
+        from repro.core import variogram
+
+        points, values = _field(np.random.default_rng(13), 60, 3)
+        whole = empirical_semivariogram(points, values)
+        # A budget of 8 rows per distance block splits the bulk absorb
+        # into 8 chunks; the sums must not notice.
+        monkeypatch.setattr(variogram, "_PAIRWISE_BLOCK_BYTES", 8 * 8 * 60)
+        _assert_bitwise(empirical_semivariogram(points, values), whole)
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_stateless_sums_match_add_at(self, metric):
-        points, values = self._field(np.random.default_rng(3), 90, 4)
+        points, values = _field(np.random.default_rng(3), 90, 4)
         lags, gammas, counts = _add_at_reference(points, values, metric)
         emp = empirical_semivariogram(points, values, metric=metric)
         _assert_bitwise(emp, EmpiricalVariogram(lags, gammas, counts))
 
-    def test_max_lag_and_bins_apply_to_stored_pairs(self):
-        points, values = self._field(np.random.default_rng(5), 40, 3)
-        for kwargs in ({"max_lag": 4.0}, {"n_bins": 5}):
-            store = PairLagStore()
-            empirical_semivariogram(points[:20], values[:20], store=store, **kwargs)
-            _assert_bitwise(
-                empirical_semivariogram(points, values, store=store, **kwargs),
-                empirical_semivariogram(points, values, **kwargs),
-            )
-
     def test_rejects_a_shorter_prefix_and_another_metric(self):
-        points, values = self._field(np.random.default_rng(9), 10, 2)
-        store = PairLagStore("l1")
+        points, values = _field(np.random.default_rng(9), 10, 2)
+        store = LagAccumulator("l1")
         empirical_semivariogram(points, values, store=store)
         with pytest.raises(ValueError, match="holds 10 points"):
             empirical_semivariogram(points[:5], values[:5], store=store)
         with pytest.raises(ValueError, match="metric"):
             empirical_semivariogram(points, values, metric="l2", store=store)
+
+    def test_all_coincident_points_rejected(self):
+        with pytest.raises(ValueError, match="no usable point pairs"):
+            empirical_semivariogram(np.zeros((4, 2)), np.arange(4.0))
+
+
+class TestGrowthRoutes:
+    """One-point growth, random block growth and one bulk absorb give
+    bitwise-equal lags, gammas and counts."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=45),
+        nv=st.integers(min_value=1, max_value=6),
+        metric=st.sampled_from(METRICS),
+        integer=st.booleans(),
+    )
+    def test_three_routes_bitwise_equal(self, seed, n, nv, metric, integer):
+        rng = np.random.default_rng(seed)
+        points, values = _field(rng, n, nv)
+        if not integer:
+            points += rng.uniform(-0.5, 0.5, size=points.shape)
+        one_point = LagAccumulator(metric)
+        for m in range(1, n + 1):
+            one_point.absorb(points[:m], values[:m])
+        blocks = LagAccumulator(metric)
+        cuts = np.sort(rng.choice(np.arange(1, n), size=rng.integers(0, n), replace=True))
+        for m in (*cuts.tolist(), n):
+            blocks.absorb(points[:m], values[:m])
+        bulk = LagAccumulator(metric)
+        bulk.absorb(points, values)
+        if bulk.lags.size == 0:
+            return
+        estimate = bulk.estimate()
+        _assert_bitwise(one_point.estimate(), estimate)
+        _assert_bitwise(blocks.estimate(), estimate)
