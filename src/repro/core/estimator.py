@@ -49,7 +49,7 @@ import numpy as np
 from repro.core.cache import SimulationCache
 from repro.core.distances import DistanceMetric
 from repro.core.factor_cache import FactorCache, FactorCacheStats, GammaFactor
-from repro.core.fitting import MODEL_KINDS, fit_variogram, select_variogram
+from repro.core.fitting import MODEL_KINDS, fit_variogram, select_variogram, warm_start
 from repro.core.index import NeighborIndex, make_index
 from repro.core.kriging import (
     SolvePhases,
@@ -68,6 +68,23 @@ SimulateFn = Callable[[np.ndarray], float]
 
 #: The scale-free prior used until ``min_fit_points`` simulations exist.
 _PREFIT_VARIOGRAM = LinearVariogram(1.0)
+
+
+def _reselection_due(min_fit_points: int, fitted_at: int, n_sim: int) -> bool:
+    """Whether a point ``ceil(min_fit_points * 1.25**k)`` of the full
+    reselection schedule lies in ``[fitted_at, n_sim]`` (exact integers).
+
+    The closed left end makes the refit after a schedule point reselect
+    too: at small ``n`` the families are often near-tied, and a winner
+    picked at a schedule point is confirmed on the next refit's data
+    before incumbent refits take over.
+    """
+    num = den = 1
+    while (point := -(-min_fit_points * num // den)) <= n_sim:
+        if point >= fitted_at:
+            return True
+        num, den = num * 5, den * 4
+    return False
 
 
 @dataclass(frozen=True)
@@ -297,7 +314,9 @@ class KrigingEstimator:
         one of the model-kind strings (``"linear"``, ``"spherical"``, ...),
         or ``"auto"`` to select the best-fitting family.  Kind strings are
         identified from the simulated values once ``min_fit_points``
-        simulations exist.
+        simulations exist (``"auto"`` over every family in
+        :data:`~repro.core.fitting.MODEL_KINDS`, a kind string over its
+        own).
     min_fit_points:
         Simulations required before a parametric identification is attempted
         (a scale-free linear variogram is used until then).
@@ -306,7 +325,19 @@ class KrigingEstimator:
         ``None`` identifies once and keeps the model (the paper's stated
         usage).  The empirical variogram is kept as per-lag running sums
         (:class:`~repro.core.variogram.LagAccumulator`), so a refit costs
-        the new points' distances, not a pass over every pair.
+        the new points' distances, not a pass over every pair.  A refit is
+        one of two kinds.  A *full reselection* fits every family of the
+        spec from scratch (:func:`~repro.core.fitting.select_variogram`).
+        It runs at the first fit, after :meth:`refit_variogram`, when the
+        current model is linear, and when a point ``ceil(min_fit_points *
+        1.25**k)`` of a geometric schedule (4, 5, 7, 8, 10, 13, ... for 4)
+        lies in ``[fitted_at, n]`` (``fitted_at`` the simulation count of
+        the last fit): at the refit reaching a schedule point and the one
+        after it.  Every other refit is an *incumbent refit*: only the
+        current model's family is refit, its search started from the
+        current model's log range (or power exponent).  Both are read from
+        the fitted model, so a restored estimator refits bit for bit as
+        the original.
     max_neighbors:
         Optional cap on the kriging support size (closest first).
     max_variance:
@@ -399,6 +430,8 @@ class KrigingEstimator:
             and n_sim - self._fitted_at >= self._refit_interval
         )
         if needs_fit:
+            kinds = MODEL_KINDS if spec == "auto" else (str(spec),)
+            incumbent = warm_start(self._fitted)
             start = time.perf_counter()
             emp = empirical_semivariogram(
                 self.cache.points,
@@ -407,10 +440,13 @@ class KrigingEstimator:
                 store=self._lag_sums,
             )
             fit_start = time.perf_counter()
-            if spec == "auto":
-                self._fitted = select_variogram(emp).model
+            if incumbent is None or _reselection_due(
+                self._min_fit_points, self._fitted_at, n_sim
+            ):
+                self._fitted = select_variogram(emp, kinds).model
             else:
-                self._fitted = fit_variogram(emp, str(spec)).model
+                kind, warm = incumbent
+                self._fitted = fit_variogram(emp, kind, start=warm).model
             end = time.perf_counter()
             self.stats.n_fits += 1
             self.stats.variogram_seconds += fit_start - start
@@ -432,11 +468,11 @@ class KrigingEstimator:
         """Force a fresh identification from the current cache, now.
 
         Discards the current fitted model (cached factorizations with it)
-        and re-identifies per the constructor's ``variogram`` spec;
-        returns the model now in use.  With a fixed model or callable spec
-        this is a no-op returning that spec.  The service's ``fit`` verb
-        and long-lived sessions use this to refresh the model on demand
-        instead of waiting for ``refit_interval``.
+        and re-identifies per the constructor's ``variogram`` spec by a
+        full reselection; returns the model now in use.  With a fixed model
+        or callable spec this is a no-op returning that spec.  The service's
+        ``fit`` verb and long-lived sessions use this to refresh the model
+        on demand instead of waiting for ``refit_interval``.
         """
         if not callable(self._variogram_spec):
             self._fitted = None

@@ -15,6 +15,16 @@ linear parameters have a closed form, so the fit profiles them out
 parameter alone: a grid over its whole interval as one (grid x lags) array
 operation, then vectorized zoom rounds around the grid's deepest local
 minima.  No iterative optimizer runs, and a fit cannot fail.
+
+Refits come in two kinds (the schedule is
+:class:`~repro.core.estimator.KrigingEstimator`'s).  A *full reselection*
+is :func:`select_variogram`: every family, each from its whole grid.  An
+*incumbent refit* is ``fit_variogram(emp, kind, start=...)`` with the
+start read from the current model by :func:`warm_start`: the grid is
+skipped and one bracket, as wide as the family's widest grid step, is
+zoomed around the previous optimum.  It costs about a seventh of a full
+reselection, but it cannot switch family and can stay in a local minimum
+near its start, so full reselections still run on a geometric schedule.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from repro.core.models import (
 )
 from repro.core.variogram import EmpiricalVariogram
 
-__all__ = ["FittedVariogram", "fit_variogram", "select_variogram", "MODEL_KINDS"]
+__all__ = ["FittedVariogram", "fit_variogram", "select_variogram", "warm_start", "MODEL_KINDS"]
 
 MODEL_KINDS = ("linear", "spherical", "exponential", "gaussian", "power")
 """Model families understood by :func:`fit_variogram`."""
@@ -82,17 +92,24 @@ def _fit_linear(emp: EmpiricalVariogram) -> FittedVariogram:
     return FittedVariogram("linear", model, _weighted_sse(model, emp))
 
 
-def _search(profile: Callable[[np.ndarray], tuple], grid: np.ndarray) -> float:
+def _search(
+    profile: Callable[[np.ndarray], tuple], grid: np.ndarray, start: float | None = None
+) -> float:
     """Minimize ``profile(x)[0]`` (SSE, vectorized over ``x``) on a grid.
 
     The selected local minima of the grid are zoomed, all in one array
     operation per round, from brackets as wide as the widest grid step
-    until the brackets are ``_XTOL`` wide.
+    until the brackets are ``_XTOL`` wide.  Given a ``start``, the grid is
+    skipped and the one bracket around ``start`` (clipped to the grid) is
+    zoomed instead.
     """
-    sse = profile(grid)[0]
-    padded = np.concatenate(([np.inf], sse, [np.inf]))
-    minima = np.flatnonzero((sse <= padded[:-2]) & (sse <= padded[2:]))
-    centres = grid[minima[np.argsort(sse[minima], kind="stable")[:_BASINS]]]
+    if start is None:
+        sse = profile(grid)[0]
+        padded = np.concatenate(([np.inf], sse, [np.inf]))
+        minima = np.flatnonzero((sse <= padded[:-2]) & (sse <= padded[2:]))
+        centres = grid[minima[np.argsort(sse[minima], kind="stable")[:_BASINS]]]
+    else:
+        centres = np.clip([float(start)], grid[0], grid[-1])
     step = np.diff(grid).max()
     offsets = np.linspace(-1.0, 1.0, _ZOOM)
     rows = np.arange(centres.size)
@@ -112,7 +129,9 @@ _BOUNDED_FAMILIES = {
 }
 
 
-def _fit_bounded(emp: EmpiricalVariogram, kind: str) -> FittedVariogram:
+def _fit_bounded(
+    emp: EmpiricalVariogram, kind: str, start: float | None = None
+) -> FittedVariogram:
     """Search the log range.  At a fixed range the interior least-squares
     (nugget, sill) is the bounded optimum when feasible, else the better of
     the ``nugget = 0`` and ``sill = _FLOOR`` edges, each clamped to its bound."""
@@ -141,13 +160,13 @@ def _fit_bounded(emp: EmpiricalVariogram, kind: str) -> FittedVariogram:
 
     lo, mid, hi = np.log(np.array([h[0], h[-1], h[-1]]) * _RANGE_SPAN)
     grid = np.concatenate((np.linspace(lo, mid, _GRID), np.linspace(mid, hi, _TAIL + 1)[1:]))
-    x = _search(profile, grid)
+    x = _search(profile, grid, start)
     _, nugget, sill = profile(np.array([x]))
     model = cls(sill=float(sill[0]), range_=float(np.exp(x)), nugget_=float(nugget[0]))
     return FittedVariogram(kind, model, _weighted_sse(model, emp))
 
 
-def _fit_power(emp: EmpiricalVariogram) -> FittedVariogram:
+def _fit_power(emp: EmpiricalVariogram, start: float | None = None) -> FittedVariogram:
     """Search the exponent; at a fixed one the scale has a closed form."""
     h, g, w = emp.lags, emp.gammas, emp.counts.astype(np.float64)
 
@@ -156,18 +175,24 @@ def _fit_power(emp: EmpiricalVariogram) -> FittedVariogram:
         scale = np.maximum((f @ (w * g)) / ((f * f) @ w), _FLOOR)
         return np.square(scale[:, None] * f - g) @ w, scale
 
-    exponent = _search(profile, np.linspace(*_EXPONENT_SPAN, _GRID))
+    exponent = _search(profile, np.linspace(*_EXPONENT_SPAN, _GRID), start)
     model = PowerVariogram(scale=float(profile(np.array([exponent]))[1][0]), exponent=exponent)
     return FittedVariogram("power", model, _weighted_sse(model, emp))
 
 
-def fit_variogram(emp: EmpiricalVariogram, kind: str = "spherical") -> FittedVariogram:
+def fit_variogram(
+    emp: EmpiricalVariogram, kind: str = "spherical", *, start: float | None = None
+) -> FittedVariogram:
     """Fit one model family to an empirical variogram.
 
     Families with several parameters need at least three distinct lags;
     with fewer, the fit is the linear model, which is always identifiable
     (and whose scale does not affect kriging weights).  ``weighted_sse`` is
     that of the returned model.  Non-finite ``emp.gammas`` raise ``ValueError``.
+
+    ``start`` (see :func:`warm_start`) refits from a previous optimum: the
+    search zooms one bracket around it instead of scanning the grid.  The
+    linear family ignores it.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown variogram kind {kind!r}; expected one of {MODEL_KINDS}")
@@ -178,7 +203,19 @@ def fit_variogram(emp: EmpiricalVariogram, kind: str = "spherical") -> FittedVar
         )
     if kind == "linear" or emp.n_lags < 3:
         return _fit_linear(emp)
-    return _fit_power(emp) if kind == "power" else _fit_bounded(emp, kind)
+    return _fit_power(emp, start) if kind == "power" else _fit_bounded(emp, kind, start)
+
+
+def warm_start(model: object) -> tuple[str, float] | None:
+    """The family and search coordinate of a fitted nonlinear model: the
+    log range of a bounded model, the exponent of a power model.  ``None``
+    for any other model (linear, nugget, a callable)."""
+    if type(model) is PowerVariogram:
+        return "power", model.exponent
+    for kind, cls in _BOUNDED_FAMILIES.items():
+        if type(model) is cls:
+            return kind, float(np.log(model.range_))
+    return None
 
 
 def select_variogram(

@@ -103,7 +103,10 @@ def quantize(
     if not np.all(np.isfinite(array)):
         raise ValueError("quantize received non-finite values")
     step = fmt.step
-    codes = np.divide(array, step, out=np.empty(array.shape))
+    # A code beyond float64 comes out as +-inf, which both overflow modes
+    # resolve below; the overflow itself is not an error.
+    with np.errstate(over="ignore"):
+        codes = np.divide(array, step, out=np.empty(array.shape))
     if overflow is Overflow.WRAP:
         # A value whose code overflows float64 is a whole number of steps,
         # so taking it modulo the wrap period first (fmod is exact) keeps

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.estimator import KrigingEstimator
-from repro.core.models import LinearVariogram
+from repro.core.models import LinearVariogram, SphericalVariogram
 from repro.utils.quantiles import QuantileSketch
 
 
@@ -289,14 +289,113 @@ class TestSolvePhaseStats:
         assert est.stats.solve.total_seconds == 0.0
 
 
+class TestRefitSchedule:
+    """Full reselections run on the geometric schedule; every other refit
+    refits the incumbent family from its last optimum."""
+
+    #: ``ceil(4 * 1.25**k)``, the schedule for ``min_fit_points=4``.
+    SCHEDULE = (4, 5, 7, 8, 10, 13, 16, 20, 24, 30, 38, 47, 59, 73, 91)
+
+    @staticmethod
+    def _points(count):
+        rng = np.random.default_rng(5)
+        pts = np.unique(rng.integers(0, 12, size=(200, 2)), axis=0).astype(float)
+        return pts[rng.permutation(len(pts))][:count]
+
+    @staticmethod
+    def _grow(monkeypatch, points, values, **kwargs):
+        """Record ``points`` one by one, asking for the variogram after
+        each; returns the estimator and its ``(refit kind, n)`` log."""
+        import repro.core.estimator as estimator_mod
+
+        log: list[tuple[str, int]] = []
+        est = None
+
+        def logging(kind, fit):
+            def wrapped(emp, *args, **kw):
+                log.append((kind, len(est.cache)))
+                return fit(emp, *args, **kw)
+
+            return wrapped
+
+        monkeypatch.setattr(estimator_mod, "select_variogram",
+                            logging("full", estimator_mod.select_variogram))
+        monkeypatch.setattr(estimator_mod, "fit_variogram",
+                            logging("incumbent", estimator_mod.fit_variogram))
+        est = KrigingEstimator(linear_metric, points.shape[1], min_fit_points=4, **kwargs)
+        for point, value in zip(points, values):
+            est.record_measurement(point, value)
+            est.variogram
+        return est, log
+
+    @pytest.mark.parametrize("interval", [1, 3])
+    def test_full_reselections_exactly_at_schedule_points(self, monkeypatch, interval):
+        points = self._points(60)
+        values = [float(np.sin(p[0]) * 5 + p[1] ** 1.5) for p in points]
+        est, log = self._grow(
+            monkeypatch, points, values, variogram="spherical", refit_interval=interval
+        )
+        fitted_at = [n for _, n in log]
+        assert fitted_at == list(range(4, 61, interval))
+        # A point in [previous fit, this fit] forces a full reselection: the
+        # refit reaching a schedule point and the one after it reselect.
+        expected = [
+            "full" if any(prev <= p <= n for p in self.SCHEDULE) else "incumbent"
+            for prev, n in zip([-1] + fitted_at, fitted_at)
+        ]
+        assert [kind for kind, _ in log] == expected
+        assert expected.count("incumbent") > len(expected) // 3
+        assert isinstance(est.variogram, SphericalVariogram)
+
+    def test_refit_variogram_always_reselects(self, monkeypatch):
+        points = self._points(45)
+        values = [float(p.sum()) ** 1.5 for p in points]
+        est, log = self._grow(monkeypatch, points, values, variogram="auto", refit_interval=1)
+        assert log[-1] == ("incumbent", 45)
+        for _ in range(2):
+            est.refit_variogram()
+            assert log[-1] == ("full", 45)
+
+    def test_family_switch_is_taken_up_at_the_next_schedule_point(self):
+        from repro.core.fitting import select_variogram
+        from repro.core.variogram import empirical_semivariogram
+
+        # A smooth trend, then a rough periodic field: the best family moves
+        # from gaussian to spherical as the second regime's pairs pile up.
+        points = self._points(70)
+        values = [
+            float(p.sum()) ** 1.5 * 0.2 if i < 30
+            else float(np.sin(p[0] * 1.7) * 30 + np.cos(p[1]) * 20)
+            for i, p in enumerate(points)
+        ]
+        est = KrigingEstimator(
+            linear_metric, 2, min_fit_points=4, variogram="auto", refit_interval=1
+        )
+        used, best = {}, {}
+        for point, value in zip(points, values):
+            est.record_measurement(point, value)
+            n = len(est.cache)
+            if n >= 4:
+                used[n] = type(est.variogram).__name__
+                emp = empirical_semivariogram(est.cache.points, est.cache.values)
+                best[n] = type(select_variogram(emp).model).__name__
+        switch = min(n for n in used if used[n] != best[n])
+        upcoming = min(p for p in self.SCHEDULE if p >= switch)
+        assert upcoming > switch + 1  # the switch lands between schedule points
+        incumbent = used[switch - 1]
+        assert all(used[n] == incumbent != best[n] for n in range(switch, upcoming))
+        assert used[upcoming] == best[upcoming] != incumbent
+
+
 class TestIncrementalIdentification:
     """Refits through the estimator's lag accumulator choose exactly the
-    model a stateless re-identification from the cache chooses."""
+    model a stateless re-identification from the cache chooses, for both
+    refit kinds: full reselections and incumbent refits."""
 
     @staticmethod
     def _replay(setup, monkeypatch, *, restore: bool):
         import repro.core.estimator as estimator_mod
-        from repro.core.fitting import select_variogram
+        from repro.core.fitting import fit_variogram, select_variogram
         from repro.core.variogram import empirical_semivariogram
 
         trace = setup.record_trajectory().unique_first_visits()
@@ -310,19 +409,24 @@ class TestIncrementalIdentification:
         checked: list[int] = []
         fits: list[tuple] = []
 
-        def checking_select(emp, *args, **kwargs):
-            est = current["est"]
-            stateless = empirical_semivariogram(
-                est.cache.points, est.cache.values, metric=est.metric
-            )
-            for name in ("lags", "gammas", "counts"):
-                assert np.array_equal(getattr(emp, name), getattr(stateless, name))
-            fitted = select_variogram(emp, *args, **kwargs)
-            assert fitted == select_variogram(stateless)
-            checked.append(len(est.cache))
-            fits.append((*(getattr(emp, k).tobytes() for k in ("lags", "gammas", "counts")),
-                         fitted))
-            return fitted
+        def checking(kind, fit):
+            # perfbench times the fitting layer by wrapping both names as
+            # bound in the estimator module, the way this test does.
+            def wrapped(emp, *args, **kwargs):
+                est = current["est"]
+                stateless = empirical_semivariogram(
+                    est.cache.points, est.cache.values, metric=est.metric
+                )
+                for name in ("lags", "gammas", "counts"):
+                    assert np.array_equal(getattr(emp, name), getattr(stateless, name))
+                fitted = fit(emp, *args, **kwargs)
+                assert fitted == fit(stateless, *args, **kwargs)
+                checked.append(len(est.cache))
+                fits.append((kind, *(getattr(emp, k).tobytes()
+                                     for k in ("lags", "gammas", "counts")), fitted))
+                return fitted
+
+            return wrapped
 
         # perfbench times the variogram layer by wrapping the estimator
         # module's ``empirical_semivariogram``: every refit must call it.
@@ -333,7 +437,8 @@ class TestIncrementalIdentification:
             emp_calls.append(len(current["est"].cache))
             return real_emp(*args, **kwargs)
 
-        monkeypatch.setattr(estimator_mod, "select_variogram", checking_select)
+        monkeypatch.setattr(estimator_mod, "select_variogram", checking("full", select_variogram))
+        monkeypatch.setattr(estimator_mod, "fit_variogram", checking("incumbent", fit_variogram))
         monkeypatch.setattr(estimator_mod, "empirical_semivariogram", counting_emp)
         est = current["est"] = KrigingEstimator(
             simulate,
@@ -345,26 +450,35 @@ class TestIncrementalIdentification:
         )
         half = len(points) // 2
         outcomes = est.evaluate_batch(points[:half])
+        fits_before_restore = len(fits)
         if restore:
             est = current["est"] = KrigingEstimator.from_state(simulate, est.to_state())
         outcomes += est.evaluate_batch(points[half:])
         decisions = [(o.interpolated, o.value) for o in outcomes]
         assert emp_calls == checked and len(emp_calls) == est.stats.n_fits
-        return est, decisions, checked, fits
+        return est, decisions, checked, fits, fits_before_restore
 
-    @pytest.mark.parametrize("name", ["fir", "iir"])
+    @pytest.mark.parametrize("name", ["fir", "iir", "fft"])
     def test_every_refit_matches_stateless_identification(
         self, name, monkeypatch, request
     ):
         setup = request.getfixturevalue(f"{name}_setup")
-        est, decisions, checked, fits = self._replay(setup, monkeypatch, restore=False)
+        est, decisions, checked, fits, split = self._replay(
+            setup, monkeypatch, restore=False
+        )
         assert len(checked) == est.stats.n_fits > 3
-        _, resumed, checked_resumed, fits_resumed = self._replay(
+        kinds = [fit[0] for fit in fits]
+        assert kinds[0] == "full"
+        # fir's 22-point growth refits only at and right after schedule
+        # points; the longer growths refit their incumbent after the restore.
+        assert ("incumbent" in kinds[split:]) == (name != "fir")
+        _, resumed, checked_resumed, fits_resumed, _ = self._replay(
             setup, monkeypatch, restore=True
         )
         # The restored estimator rebuilt its accumulator from the cache at
         # its first refit and went on refitting identically: every
-        # empirical variogram and fitted model bit for bit.
+        # empirical variogram, refit kind and fitted model bit for bit,
+        # incumbent refits started from the restored model included.
         assert resumed == decisions
         assert checked_resumed == checked
         assert fits_resumed == fits

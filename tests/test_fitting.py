@@ -5,11 +5,12 @@ import pytest
 import scipy.optimize
 
 import repro.core.fitting as fitting
-from repro.core.fitting import MODEL_KINDS, fit_variogram, select_variogram
+from repro.core.fitting import MODEL_KINDS, fit_variogram, select_variogram, warm_start
 from repro.core.models import (
     ExponentialVariogram,
     GaussianVariogram,
     LinearVariogram,
+    NuggetVariogram,
     PowerVariogram,
     SphericalVariogram,
 )
@@ -222,6 +223,29 @@ def _trust_region_fit(emp: EmpiricalVariogram, kind: str):
     return model, float(np.sum(w * (np.asarray(model(h)) - g) ** 2))
 
 
+def _deep_basin_curve() -> EmpiricalVariogram:
+    """A recorded in-loop HEVC curve whose best spherical fit (range ~53)
+    is a narrow basin between the kinks at its lags, deeper than the long
+    tail towards the linear limit."""
+    lags = [1.0, 3.0] + [float(v) for v in range(4, 21)] + [22.0]
+    lags += [float(v) for v in range(71, 82)]
+    gammas = [
+        10.301833736091076, 81.1146129437996, 115.65617775111082, 140.0111072157981,
+        17.808603856140905, 76.28698787139312, 122.69763701101391, 165.41756474761775,
+        172.35492704025657, 199.22789971839887, 225.36392012994037, 250.7961787598545,
+        292.2612116747214, 205.59062988597395, 100.43877317476166, 63.65068923411348,
+        129.89392055636947, 83.83592952019774, 7.254879669991217, 0.8227709024798098,
+        4.188747522710061, 107.49592115157328, 200.9520720708512, 157.99292096143913,
+        102.6415702701565, 474.80306581709937, 564.5146344807596, 612.5483095502486,
+        720.9136972685244, 727.8343463954374, 734.5065194469391,
+    ]
+    counts = [20, 23, 41, 18, 36, 94, 75, 17, 64, 141, 93, 16, 60, 93, 40, 7]
+    counts += [28, 28, 4, 6, 4, 9, 13, 11, 5, 12, 19, 9, 1, 2, 1]
+    return EmpiricalVariogram(
+        lags=np.array(lags), gammas=np.array(gammas), counts=np.array(counts)
+    )
+
+
 class TestOptimality:
     """Profiled fits are never worse than the trust-region reference.
 
@@ -257,28 +281,9 @@ class TestOptimality:
         self._check(_trajectory_corpus(fir_setup))
 
     def test_deep_basin_between_kinks_survives_a_coarse_grid(self, monkeypatch):
-        # A recorded in-loop HEVC curve whose best spherical fit (range ~53)
-        # is a narrow basin between the kinks at its lags, deeper than the
-        # long tail towards the linear limit.  On a coarse grid that basin's
-        # grid point is not the grid's best: it is found only because
-        # several grid minima are zoomed.
-        lags = [1.0, 3.0] + [float(v) for v in range(4, 21)] + [22.0]
-        lags += [float(v) for v in range(71, 82)]
-        gammas = [
-            10.301833736091076, 81.1146129437996, 115.65617775111082, 140.0111072157981,
-            17.808603856140905, 76.28698787139312, 122.69763701101391, 165.41756474761775,
-            172.35492704025657, 199.22789971839887, 225.36392012994037, 250.7961787598545,
-            292.2612116747214, 205.59062988597395, 100.43877317476166, 63.65068923411348,
-            129.89392055636947, 83.83592952019774, 7.254879669991217, 0.8227709024798098,
-            4.188747522710061, 107.49592115157328, 200.9520720708512, 157.99292096143913,
-            102.6415702701565, 474.80306581709937, 564.5146344807596, 612.5483095502486,
-            720.9136972685244, 727.8343463954374, 734.5065194469391,
-        ]
-        counts = [20, 23, 41, 18, 36, 94, 75, 17, 64, 141, 93, 16, 60, 93, 40, 7]
-        counts += [28, 28, 4, 6, 4, 9, 13, 11, 5, 12, 19, 9, 1, 2, 1]
-        emp = EmpiricalVariogram(
-            lags=np.array(lags), gammas=np.array(gammas), counts=np.array(counts)
-        )
+        # On a coarse grid the deep basin's grid point is not the grid's
+        # best: it is found only because several grid minima are zoomed.
+        emp = _deep_basin_curve()
         _, reference = _trust_region_fit(emp, "spherical")
         monkeypatch.setattr(fitting, "_GRID", 24)
         fit = fit_variogram(emp, "spherical")
@@ -331,3 +336,54 @@ class TestFallback:
             fit_variogram(emp, kind)
         with pytest.raises(ValueError, match="not finite"):
             select_variogram(emp)
+
+
+class TestWarmStart:
+    """Incumbent refits: the search zooms one bracket around a start."""
+
+    def test_refit_from_the_optimum_is_never_worse(self, fir_setup):
+        for emp in _lattice_corpus() + _trajectory_corpus(fir_setup):
+            for kind in _NONLINEAR:
+                cold = fit_variogram(emp, kind)
+                family, start = warm_start(cold.model)
+                warm = fit_variogram(emp, family, start=start)
+                assert family == warm.kind == kind
+                # The bracket's centre is the start, so the zoom can only
+                # improve on it; exp/log round trips leave rounding slack.
+                assert warm.weighted_sse <= cold.weighted_sse * (1 + 1e-12), kind
+
+    def test_refit_skips_the_grid(self):
+        # Started on the tail, the search never sees the deeper basin the
+        # full search finds at range ~53: an incumbent refit is local.
+        emp = _deep_basin_curve()
+        cold = fit_variogram(emp, "spherical")
+        assert 40.0 < cold.model.range_ < 70.0
+        warm = fit_variogram(emp, "spherical", start=float(np.log(1e5)))
+        assert warm.model.range_ > 1e3
+        assert warm.weighted_sse > cold.weighted_sse
+
+    @pytest.mark.parametrize("kind", _NONLINEAR)
+    def test_start_outside_the_grid_is_clipped(self, kind):
+        emp = _lattice_corpus()[0]
+        h = emp.lags
+        if kind == "power":
+            lo, hi = fitting._EXPONENT_SPAN
+        else:
+            lo, _, hi = np.log(np.array([h[0], h[-1], h[-1]]) * fitting._RANGE_SPAN)
+        for outside, edge in ((lo - 50.0, lo), (hi + 50.0, hi)):
+            fit = fit_variogram(emp, kind, start=outside)
+            assert fit == fit_variogram(emp, kind, start=edge)
+            family, x = warm_start(fit.model)
+            assert family == kind
+            assert lo - 1e-9 <= x <= hi + 1e-9
+
+    def test_only_nonlinear_models_have_a_start(self):
+        assert warm_start(PowerVariogram(scale=2.0, exponent=1.5)) == ("power", 1.5)
+        spherical = SphericalVariogram(sill=1.0, range_=4.0)
+        assert warm_start(spherical) == ("spherical", float(np.log(4.0)))
+        for model in (LinearVariogram(2.0), NuggetVariogram(1.0), None, np.sqrt):
+            assert warm_start(model) is None
+
+    def test_linear_fit_ignores_the_start(self):
+        emp = synth_empirical(LinearVariogram(3.0), [1.0, 2.0, 3.0, 4.0])
+        assert fit_variogram(emp, "linear", start=2.5) == fit_variogram(emp, "linear")

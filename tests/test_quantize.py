@@ -55,15 +55,15 @@ class TestOverflow:
 
     @pytest.mark.parametrize("rounding", list(Rounding))
     def test_wrap_code_beyond_float64(self, rounding):
-        # 1e300 / 2**-30 overflows float64; the wrapped code does not.
+        # 1e300 / 2**-30 overflows float64; the wrapped code does not.  No
+        # warning may escape: RuntimeWarnings are errors in this suite.
         fmt = QFormat(0, 30)
-        with np.errstate(over="ignore"):
-            out = quantize(np.array([1e300, -1e300]), fmt, rounding=rounding,
-                           overflow=Overflow.WRAP)
-            # 2**24 + 33 is 33 modulo the wrap period 2**6 of Q5.1000.
-            wide = quantize(np.array([2.0**24 + 33, -(2.0**24 + 1)]), QFormat(5, 1000),
-                            rounding=rounding, overflow=Overflow.WRAP)
-            saturated = quantize(np.array([1e300, -1e300]), fmt)
+        out = quantize(np.array([1e300, -1e300]), fmt, rounding=rounding,
+                       overflow=Overflow.WRAP)
+        # 2**24 + 33 is 33 modulo the wrap period 2**6 of Q5.1000.
+        wide = quantize(np.array([2.0**24 + 33, -(2.0**24 + 1)]), QFormat(5, 1000),
+                        rounding=rounding, overflow=Overflow.WRAP)
+        saturated = quantize(np.array([1e300, -1e300]), fmt)
         assert out.tolist() == [0.0, 0.0]
         assert wide.tolist() == [33.0 - 64.0, -1.0]
         assert saturated.tolist() == [fmt.max_value, fmt.min_value]
