@@ -116,6 +116,22 @@ class KrigingResult:
         return len(self.weights)
 
 
+def _distinct_rows(pts: np.ndarray) -> bool:
+    """Whether no two rows of ``pts`` compare equal, coordinate by coordinate.
+
+    Each row is read as one opaque byte string; sorting those puts equal
+    rows next to each other, so comparing neighbours settles it.  Adding
+    ``0.0`` first turns ``-0.0`` into ``0.0``, after which two rows with
+    equal bytes are the only rows that can compare equal (NaN equals
+    nothing).  ``False`` means some rows might compare equal.
+    """
+    if pts.shape[1] == 0:
+        return False
+    rows = np.ascontiguousarray(pts + 0.0).view(np.dtype((np.void, pts.itemsize * pts.shape[1])))
+    rows = np.sort(rows.ravel())
+    return not (rows[1:] == rows[:-1]).any()
+
+
 def _validate_support(
     points: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -129,7 +145,10 @@ def _validate_support(
         raise ValueError("support values contain non-finite entries")
     # Coincident support points make the kriging matrix singular and the
     # least-squares fallback then violates the unit-sum constraint; collapse
-    # duplicates to their mean value instead.
+    # duplicates to their mean value instead.  Supports drawn from the
+    # simulation cache are distinct, which one sort proves cheaply.
+    if _distinct_rows(pts):
+        return pts, vals
     unique, inverse = np.unique(pts, axis=0, return_inverse=True)
     if unique.shape[0] != pts.shape[0]:
         sums = np.zeros(unique.shape[0])

@@ -170,6 +170,77 @@ class TestDegenerateInputs:
             )
 
 
+def _unique_collapse(points, values):
+    """``_validate_support``'s duplicate collapse as it stood with no
+    distinctness check in front: ``np.unique`` on every support set."""
+    pts = np.asarray(points, dtype=np.float64)
+    vals = np.asarray(values, dtype=np.float64)
+    unique, inverse = np.unique(pts, axis=0, return_inverse=True)
+    if unique.shape[0] != pts.shape[0]:
+        sums = np.zeros(unique.shape[0])
+        counts = np.zeros(unique.shape[0])
+        np.add.at(sums, inverse, vals)
+        np.add.at(counts, inverse, 1.0)
+        pts, vals = unique, sums / counts
+    return pts, vals
+
+
+_COORD = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 2.5, 1e300, np.nan, -np.nan, np.inf, -np.inf]
+)
+
+
+class TestValidateSupport:
+    """The distinctness proof in front of the collapse changes no bit."""
+
+    @staticmethod
+    def _assert_same(points, values):
+        from repro.core.kriging import _validate_support
+
+        got = _validate_support(points, values)
+        want = _unique_collapse(points, values)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        rows=st.integers(1, 8),
+        dim=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_matches_unique_collapse(self, rows, dim, data):
+        # A small coordinate alphabet makes duplicate rows, signed zeros and
+        # non-finite coordinates common.
+        flat = data.draw(st.lists(_COORD, min_size=rows * dim, max_size=rows * dim))
+        points = np.array(flat).reshape(rows, dim)
+        values = np.array(
+            data.draw(st.lists(st.floats(-10, 10), min_size=rows, max_size=rows))
+        )
+        self._assert_same(points, values)
+        self._assert_same(np.asfortranarray(points), values)
+
+    def test_distinct_support_is_returned_as_given(self):
+        rng = np.random.default_rng(23)
+        points = np.unique(grid_points(rng, 40, 23), axis=0)[rng.permutation(20)]
+        values = rng.normal(size=20)
+        self._assert_same(points, values)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[1.0, 0.0], [1.0, -0.0], [2.0, 2.0]],
+            [[np.nan, 1.0], [np.nan, 1.0]],
+            [[np.nan, 1.0]],
+            [[3.0, 4.0]],
+            [[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]],
+        ],
+    )
+    def test_edge_cases_match_unique_collapse(self, points):
+        points = np.array(points)
+        self._assert_same(points, np.arange(points.shape[0], dtype=float))
+
+
 class TestSimpleKriging:
     def test_far_query_regresses_to_mean(self):
         vg = SphericalVariogram(sill=1.0, range_=2.0)

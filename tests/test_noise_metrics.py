@@ -46,6 +46,59 @@ class TestNoisePower:
         b = np.zeros(10)
         assert noise_power_db(a, b) == pytest.approx(power_to_db(0.01))
 
+    @staticmethod
+    def _complex_form(approx, reference):
+        a = np.asarray(approx).astype(np.complex128)
+        diff = a - np.asarray(reference).astype(np.complex128)
+        return float(np.mean(diff.real**2 + diff.imag**2))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-1e150, 1e150, allow_subnormal=True),
+                st.floats(-1e150, 1e150, allow_subnormal=True),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_real_inputs_match_the_complex_form_bit_for_bit(self, pairs):
+        a, b = np.array(pairs).T
+        a32 = np.clip(a, -3e38, 3e38).astype(np.float32)
+        for x, y in [(a, b), (a32, b), (a.reshape(-1, 1), b.reshape(-1, 1))]:
+            assert float.hex(noise_power(x, y)) == float.hex(self._complex_form(x, y))
+
+    @given(
+        st.lists(st.tuples(st.integers(-(2**40), 2**40), st.integers(-(2**40), 2**40)), min_size=1)
+    )
+    def test_integer_inputs_match_the_complex_form_bit_for_bit(self, pairs):
+        a, b = np.array(pairs, dtype=np.int64).T
+        assert float.hex(noise_power(a, b)) == float.hex(self._complex_form(a, b))
+        assert float.hex(noise_power(a, b.astype(float))) == float.hex(self._complex_form(a, b))
+
+    def test_bool_and_transposed_inputs_match_the_complex_form(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.random((2, 6, 5))
+        cases = [(a.T, b.T), (a.T, b), (a > 0.5, b > 0.5), (a, -0.0 * b)]
+        for x, y in cases:
+            if x.shape != y.shape:
+                y = np.ascontiguousarray(y.T)
+            assert float.hex(noise_power(x, y)) == float.hex(self._complex_form(x, y))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.complex_numbers(max_magnitude=1e100), st.complex_numbers(max_magnitude=1e100)
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_complex_inputs_keep_the_complex_form(self, pairs):
+        a, b = np.array(pairs, dtype=complex).T
+        assert float.hex(noise_power(a, b)) == float.hex(self._complex_form(a, b))
+        assert float.hex(noise_power(a, b.real)) == float.hex(self._complex_form(a, b.real))
+
 
 class TestDbConversions:
     @given(st.floats(min_value=-200.0, max_value=100.0))

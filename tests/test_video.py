@@ -2,6 +2,9 @@
 
 import itertools
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -236,3 +239,96 @@ class TestGolden:
         assert float.hex(float(bench.reference().sum())) == spec["reference_sum"]
         got = [float.hex(bench.noise_power_db(w)) for w in golden["vectors"]]
         assert got == spec["noise_power_db"]
+
+
+class TestResume:
+    """A simulation restarts from the deepest node it shares with the last one."""
+
+    @pytest.fixture()
+    def bench(self):
+        return MotionCompensationBenchmark(workload=BlockWorkload.generate(n_blocks=12, seed=5))
+
+    @pytest.mark.parametrize("node", range(23))
+    def test_one_node_edits_match_oracle(self, bench, node):
+        base = np.random.default_rng(node).integers(6, 19, size=23)
+        up, down = base.copy(), base.copy()
+        up[node] += 1
+        down[node] -= 2
+        for w in (base, up, down, base, down):
+            assert _same_bits(bench.simulate(w), _per_group_oracle(bench, w))
+
+    def test_min_plus_one_trajectory_matches_fresh_instances(self):
+        from repro.optimization.evaluator import SimulationEvaluator
+
+        setup = build_hevc("small")
+        bench = setup.substrate
+        calls = []
+
+        def simulate(w):
+            value = bench.noise_power_db(w)
+            calls.append((np.array(w), float.hex(value)))
+            return value
+
+        setup.run_reference_optimization(SimulationEvaluator(simulate))
+        assert len(calls) > 1000
+        for w, value in calls[::3]:
+            fresh = MotionCompensationBenchmark(workload=bench.workload)
+            assert float.hex(fresh.noise_power_db(w)) == value
+
+    @pytest.mark.parametrize("case", ["full_seed1", "small_seed3"])
+    def test_golden_vectors_forward_then_reversed(self, case):
+        golden = json.loads(GOLDEN.read_text())
+        spec = golden["cases"][case]
+        bench = build_hevc(spec["scale"], seed=spec["seed"]).substrate
+        vectors = golden["vectors"]
+        got = [float.hex(bench.noise_power_db(w)) for w in vectors + vectors[::-1]]
+        assert got == spec["noise_power_db"] + spec["noise_power_db"][::-1]
+
+    def test_mutating_a_result_leaves_later_results_alone(self, bench):
+        w = np.full(23, 12)
+        edited = w.copy()
+        edited[15] = 9
+        want = _per_group_oracle(bench, w)
+        first = bench.simulate(w)
+        first[...] = 0.5
+        again = bench.simulate(w)
+        assert _same_bits(again, want)
+        again[...] = 0.25
+        assert _same_bits(bench.simulate(edited), _per_group_oracle(bench, edited))
+        assert _same_bits(bench.simulate(w), want)
+
+    def test_threads_get_their_own_answers(self, bench):
+        rng = np.random.default_rng(12)
+        base = rng.integers(6, 19, size=23)
+        vectors = []
+        for node in rng.integers(0, 23, size=24):
+            w = base.copy()
+            w[node] += 1
+            vectors.append(w)
+        want = [_per_group_oracle(bench, w) for w in vectors]
+        barrier = threading.Barrier(4)
+
+        def work(offset):
+            barrier.wait(timeout=60)
+            order = [(offset + 5 * i) % len(vectors) for i in range(3 * len(vectors))]
+            return all(_same_bits(bench.simulate(vectors[i]), want[i]) for i in order)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert all(pool.map(work, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_trail_holds_one_vector(self):
+        bench = build_hevc("full", seed=1).substrate
+        assert bench._trail == ((), ())  # the reference run leaves no trail
+        rng = np.random.default_rng(2)
+        for w in rng.integers(4, 21, size=(5, 23)):
+            bench.simulate(w)
+        last, states = bench._trail
+        assert last == tuple(w.tolist())
+        assert len(states) == 23
+        assert sum(state.nbytes for state in states) <= 1.5e6
+        assert not any(state.flags.writeable for state in states)
