@@ -49,7 +49,13 @@ import numpy as np
 from repro.core.cache import SimulationCache
 from repro.core.distances import DistanceMetric
 from repro.core.factor_cache import FactorCache, FactorCacheStats, GammaFactor
-from repro.core.fitting import MODEL_KINDS, fit_variogram, select_variogram, warm_start
+from repro.core.fitting import (
+    AUTO_KINDS,
+    MODEL_KINDS,
+    fit_variogram,
+    select_variogram,
+    warm_start,
+)
 from repro.core.index import NeighborIndex, make_index
 from repro.core.kriging import (
     SolvePhases,
@@ -314,9 +320,9 @@ class KrigingEstimator:
         one of the model-kind strings (``"linear"``, ``"spherical"``, ...),
         or ``"auto"`` to select the best-fitting family.  Kind strings are
         identified from the simulated values once ``min_fit_points``
-        simulations exist (``"auto"`` over every family in
-        :data:`~repro.core.fitting.MODEL_KINDS`, a kind string over its
-        own).
+        simulations exist (``"auto"`` over the families in
+        :data:`~repro.core.fitting.AUTO_KINDS`, which leaves out
+        exponential; a kind string, exponential included, over its own).
     min_fit_points:
         Simulations required before a parametric identification is attempted
         (a scale-free linear variogram is used until then).
@@ -430,7 +436,7 @@ class KrigingEstimator:
             and n_sim - self._fitted_at >= self._refit_interval
         )
         if needs_fit:
-            kinds = MODEL_KINDS if spec == "auto" else (str(spec),)
+            kinds = AUTO_KINDS if spec == "auto" else (str(spec),)
             incumbent = warm_start(self._fitted)
             start = time.perf_counter()
             emp = empirical_semivariogram(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.estimator import KrigingEstimator
-from repro.core.models import LinearVariogram, SphericalVariogram
+from repro.core.models import ExponentialVariogram, LinearVariogram, SphericalVariogram
 from repro.utils.quantiles import QuantileSketch
 
 
@@ -346,6 +346,29 @@ class TestRefitSchedule:
         assert [kind for kind, _ in log] == expected
         assert expected.count("incumbent") > len(expected) // 3
         assert isinstance(est.variogram, SphericalVariogram)
+
+    @pytest.mark.parametrize("spec", ["auto", "exponential"])
+    def test_auto_leaves_exponential_out(self, monkeypatch, spec):
+        import repro.core.fitting as fitting
+
+        kinds: list[str] = []
+        fit = fitting._fit_profiled
+
+        def spying(emp, kind, start):
+            kinds.append(kind)
+            return fit(emp, kind, start)
+
+        monkeypatch.setattr(fitting, "_fit_profiled", spying)
+        points = self._points(40)
+        values = [float(np.sin(p[0]) * 5 + p[1] ** 1.5) for p in points]
+        est, log = self._grow(monkeypatch, points, values, variogram=spec, refit_interval=1)
+        assert {kind for kind, _ in log} == {"full", "incumbent"}
+        if spec == "auto":
+            assert "exponential" not in kinds
+            assert set(kinds) == {"spherical", "gaussian", "power"}
+        else:
+            assert set(kinds) == {"exponential"}
+            assert isinstance(est.variogram, ExponentialVariogram)
 
     def test_refit_variogram_always_reselects(self, monkeypatch):
         points = self._points(45)

@@ -5,7 +5,13 @@ import pytest
 import scipy.optimize
 
 import repro.core.fitting as fitting
-from repro.core.fitting import MODEL_KINDS, fit_variogram, select_variogram, warm_start
+from repro.core.fitting import (
+    AUTO_KINDS,
+    MODEL_KINDS,
+    fit_variogram,
+    select_variogram,
+    warm_start,
+)
 from repro.core.models import (
     ExponentialVariogram,
     GaussianVariogram,
@@ -282,7 +288,7 @@ class TestOptimality:
 
     def test_deep_basin_between_kinks_survives_a_coarse_grid(self, monkeypatch):
         # On a coarse grid the deep basin's grid point is not the grid's
-        # best: it is found only because several grid minima are zoomed.
+        # best: it is found only because several grid minima are refined.
         emp = _deep_basin_curve()
         _, reference = _trust_region_fit(emp, "spherical")
         monkeypatch.setattr(fitting, "_GRID", 24)
@@ -339,7 +345,7 @@ class TestFallback:
 
 
 class TestWarmStart:
-    """Incumbent refits: the search zooms one bracket around a start."""
+    """Incumbent refits: the search walks from a narrow bracket around a start."""
 
     def test_refit_from_the_optimum_is_never_worse(self, fir_setup):
         for emp in _lattice_corpus() + _trajectory_corpus(fir_setup):
@@ -348,8 +354,8 @@ class TestWarmStart:
                 family, start = warm_start(cold.model)
                 warm = fit_variogram(emp, family, start=start)
                 assert family == warm.kind == kind
-                # The bracket's centre is the start, so the zoom can only
-                # improve on it; exp/log round trips leave rounding slack.
+                # The model at the start is kept unless the search beats it;
+                # exp/log round trips leave rounding slack.
                 assert warm.weighted_sse <= cold.weighted_sse * (1 + 1e-12), kind
 
     def test_refit_skips_the_grid(self):
@@ -387,3 +393,269 @@ class TestWarmStart:
     def test_linear_fit_ignores_the_start(self):
         emp = synth_empirical(LinearVariogram(3.0), [1.0, 2.0, 3.0, 4.0])
         assert fit_variogram(emp, "linear", start=2.5) == fit_variogram(emp, "linear")
+
+
+def _zoom_search(profile, grid, start=None):
+    """The grid-and-zoom search that Brent's search replaced, kept as an oracle.
+
+    The grid's (or the start's) brackets are 17-point sub-grids, zoomed in
+    one array operation per round until they are 1e-7 wide.  A start's
+    bracket is as wide as the widest grid step.
+    """
+    basins, zoom, xtol = 4, 17, 1e-7
+
+    def sse(x):
+        x = np.asarray(x, dtype=float)
+        return np.array([found[0] for found in profile(x.ravel())]).reshape(x.shape)
+
+    if start is None:
+        values = sse(grid)
+        padded = np.concatenate(([np.inf], values, [np.inf]))
+        minima = np.flatnonzero((values <= padded[:-2]) & (values <= padded[2:]))
+        centres = grid[minima[np.argsort(values[minima], kind="stable")[:basins]]]
+    else:
+        centres = np.clip([float(start)], grid[0], grid[-1])
+    step = np.diff(grid).max()
+    offsets = np.linspace(-1.0, 1.0, zoom)
+    rows = np.arange(centres.size)
+    while step > xtol:
+        points = np.clip(centres[:, None] + step * offsets, grid[0], grid[-1])
+        values = sse(points)
+        best = np.argmin(values, axis=1)
+        centres, found = points[rows, best], values[rows, best]
+        step *= 2.0 / (zoom - 1)
+    return float(centres[np.argmin(found)])
+
+
+def _grid_span(emp, kind):
+    """Ends and widest step of a family's grid (the zoom oracle's start
+    bracket is one widest step either side of the clipped start)."""
+    if kind == "power":
+        lo, hi = fitting._EXPONENT_SPAN
+        return lo, hi, (hi - lo) / (fitting._GRID - 1)
+    lo, mid, hi = np.log(np.array([emp.lags[0], emp.lags[-1], emp.lags[-1]]) * fitting._RANGE_SPAN)
+    return lo, hi, max((mid - lo) / (fitting._GRID - 1), (hi - mid) / fitting._TAIL)
+
+
+def _coordinate(model):
+    return warm_start(model)[1]
+
+
+def _basis(kind, h):
+    if kind == "power":
+        return lambda x: h**x
+    return lambda x: fitting._BOUNDED_FAMILIES[kind].shape(h / np.exp(x))
+
+
+def _residual_profile(emp, f, free_nugget):
+    """(SSE, nugget, sill) of the best bounded ``nugget + sill * f`` per row
+    of ``f``, from explicit residuals: the profile before the moment form."""
+    g, w = emp.gammas, emp.counts.astype(float)
+    total = w.sum()
+    g_mean = float(w @ g) / total
+    f_mean = (f @ w) / total
+    centred = f - f_mean[:, None]
+    s_ff = (centred * centred) @ w
+    edge_sill = np.maximum((f @ (w * g)) / (s_ff + total * f_mean**2), fitting._FLOOR)
+    if not free_nugget:
+        return np.square(edge_sill[:, None] * f - g) @ w, 0.0 * edge_sill, edge_sill
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sill = (centred @ (w * (g - g_mean))) / s_ff
+    nugget = g_mean - sill * f_mean
+    interior = (sill >= fitting._FLOOR) & (nugget >= 0)  # False where s_ff = 0
+    edge_nugget = np.maximum(g_mean - fitting._FLOOR * f_mean, 0.0)
+    nuggets = np.stack((np.where(interior, nugget, 0.0), edge_nugget))
+    sills = np.stack((np.where(interior, sill, edge_sill), np.full_like(sill, fitting._FLOOR)))
+    sse = np.square(nuggets[..., None] + sills[..., None] * f - g) @ w
+    pick = (np.argmin(sse, axis=0), np.arange(f.shape[0]))
+    return sse[pick], nuggets[pick], sills[pick]
+
+
+def _walk_curve():
+    """A rippled spherical curve (range 40) whose warm start, range 2, sits
+    more than three zoom brackets below its optimum, in the same basin."""
+    lags = np.arange(1.0, 31.0)
+    truth = SphericalVariogram(sill=3.0, range_=40.0, nugget_=0.5)
+    gammas = np.asarray(truth(lags)) * (1.0 + 0.05 * np.sin(1.7 * lags))
+    return EmpiricalVariogram(lags=lags, gammas=gammas, counts=np.arange(30, 0, -1) * 3)
+
+
+@pytest.fixture
+def count_evaluations(monkeypatch):
+    """Counts every point a profile is evaluated at (``counts[-1]``)."""
+    counts = [0]
+    real = fitting._profile
+
+    def counting(*args, **kwargs):
+        profile = real(*args, **kwargs)
+
+        def counted(x):
+            counts[-1] += np.size(x)
+            return profile(x)
+
+        return counted
+
+    monkeypatch.setattr(fitting, "_profile", counting)
+    return counts
+
+
+class TestBrentSearch:
+    """Brent's search against the grid-and-zoom search it replaced."""
+
+    def _zoom_fit(self, monkeypatch, emp, kind, start=None):
+        with monkeypatch.context() as patched:
+            patched.setattr(fitting, "_search", _zoom_search)
+            return fit_variogram(emp, kind, start=start)
+
+    def test_no_worse_than_the_zoom_search(self, fir_setup, monkeypatch):
+        # Warm starts are the previous curve's cold optimum, as when an
+        # optimum moves between refits.  A warm fit may leave the oracle's
+        # bracket (the widest grid step around the clipped start, which its
+        # zoom rounds overreach by a seventh) only to do strictly better.
+        left = 0
+        for corpus in (_lattice_corpus(), _trajectory_corpus(fir_setup)):
+            for kind in _NONLINEAR:
+                previous = None
+                for emp in corpus:
+                    cold = fit_variogram(emp, kind)
+                    oracle = self._zoom_fit(monkeypatch, emp, kind)
+                    assert cold.weighted_sse <= oracle.weighted_sse * (1 + 1e-9), kind
+                    if previous is not None:
+                        start = _coordinate(previous.model)
+                        warm = fit_variogram(emp, kind, start=start)
+                        oracle = self._zoom_fit(monkeypatch, emp, kind, start)
+                        lo, hi, step = _grid_span(emp, kind)
+                        # zoom rounds reach 1 + 1/8 + 1/64 + ... = 8/7 steps out
+                        if abs(_coordinate(warm.model) - np.clip(start, lo, hi)) > step * 8 / 7:
+                            left += 1
+                            assert warm.weighted_sse < oracle.weighted_sse, kind
+                        else:
+                            assert warm.weighted_sse <= oracle.weighted_sse * (1 + 1e-9), kind
+                    previous = cold
+        assert left > 0
+
+    def test_moment_form_matches_residual_form(self):
+        rng = np.random.default_rng(24)
+        cases = {"interior": 0, "no nugget": 0, "sill floor": 0}
+        for trial in range(60):
+            size = int(rng.integers(3, 40))
+            lags = np.sort(rng.choice(np.arange(1.0, 60.0), size=size, replace=False))
+            shape = trial % 3
+            if shape == 0:
+                gammas = rng.uniform(0.0, 5.0, lags.size)
+            elif shape == 1:  # falling: only the sill floor fits
+                gammas = 5.0 - 0.05 * lags + rng.uniform(0.0, 0.2, lags.size)
+            else:  # convex through the origin: the nugget is clamped to 0
+                gammas = 0.01 * lags**2 * rng.uniform(0.9, 1.1, lags.size)
+            counts = rng.integers(1, 500, lags.size)
+            emp = EmpiricalVariogram(lags=lags, gammas=gammas, counts=counts)
+            total = float(emp.counts.sum())
+            g_mean = float(emp.counts @ gammas) / total
+            scale = float(emp.counts @ (gammas - g_mean) ** 2)
+            for kind in _NONLINEAR:
+                if kind == "power":
+                    x = np.array([1e-3, 1e-2, 0.5, 1.0, 1.999])  # f nearly constant at 1e-3
+                else:
+                    # far below the smallest lag f is (nearly) constant; far
+                    # above the largest it is O(h / range)
+                    x = np.log(np.array([1e-3, 0.3, 1.0, 5.0, 1e5]) * lags[[0, 0, -1, -1, -1]])
+                x = np.concatenate((x, rng.uniform(x[0], x[-1], 5)))
+                free = kind != "power"
+                found = fitting._profile(emp, _basis(kind, lags), free_nugget=free)(x)
+                f = _basis(kind, lags)(x[:, None])
+                sse, nugget, sill = np.array(found).T
+                reference, ref_nugget, ref_sill = _residual_profile(emp, f, free)
+                np.testing.assert_allclose(sse, reference, rtol=0, atol=1e-12 * scale)
+                # the returned parameters have the SSE claimed for them
+                claimed = np.square(nugget[:, None] + sill[:, None] * f - gammas) @ emp.counts
+                np.testing.assert_allclose(sse, claimed, rtol=0, atol=1e-12 * scale)
+                if free:
+                    above = ref_sill > fitting._FLOOR
+                    cases["sill floor"] += int(np.sum(~above))
+                    cases["no nugget"] += int(np.sum((ref_nugget == 0) & above))
+                    cases["interior"] += int(np.sum((ref_nugget > 0) & above))
+        assert min(cases.values()) > 20, cases
+
+    def test_refit_follows_an_optimum_out_of_its_bracket(self, monkeypatch, count_evaluations):
+        emp = _walk_curve()
+        cold = fit_variogram(emp, "spherical")
+        assert 35.0 < cold.model.range_ < 45.0
+        start = float(np.log(2.0))
+        assert np.log(cold.model.range_) - start > 3 * _grid_span(emp, "spherical")[2]
+        count_evaluations.append(0)
+        warm = fit_variogram(emp, "spherical", start=start)
+        assert warm.weighted_sse <= cold.weighted_sse * (1 + 1e-9)
+        # The walk doubles its step: log2(distance / first step) steps.
+        assert count_evaluations[-1] <= 40
+        # The zoom's one bracket stops at its edge, far from the optimum.
+        oracle = self._zoom_fit(monkeypatch, emp, "spherical", start)
+        assert oracle.weighted_sse > 10 * cold.weighted_sse
+
+    def test_refit_is_never_worse_than_its_start_where_rounding_dominates(self):
+        # A curve fitted to ~1e-16 of its spread: the moment form's rounding
+        # (eps * spread) is larger than the SSE, so the search cannot rank
+        # points near the optimum, and only the exact SSE keeps the start.
+        lags = np.arange(1.0, 31.0)
+        truth = SphericalVariogram(sill=3.0, range_=40.0, nugget_=0.5)
+        gammas = np.asarray(truth(lags)) * (1.0 + 1e-9 * np.sin(1.7 * lags))
+        emp = EmpiricalVariogram(lags=lags, gammas=gammas, counts=np.arange(30, 0, -1) * 3)
+        for kind in ("spherical", "gaussian"):
+            for start in np.log([40.0, 39.0, 41.0, 45.0]):
+                kept = fit_variogram(emp, kind, start=start)
+                with_start = fitting._profile(emp, _basis(kind, lags), free_nugget=True)([start])
+                model = fitting._BOUNDED_FAMILIES[kind](
+                    sill=with_start[0][2], range_=float(np.exp(start)), nugget_=with_start[0][1]
+                )
+                assert kept.weighted_sse <= fitting._weighted_sse(model, emp)
+
+    @pytest.mark.parametrize(
+        "sse,a,x,b,optimum",
+        [
+            (lambda x: (x - 0.3) ** 2 + 0.5 * (x - 0.3) ** 4, 0.0, 0.5, 1.0, 0.3),
+            (lambda x: np.exp(x) - 2.0 * x, 0.0, 0.2, 3.0, np.log(2.0)),
+            (lambda x: abs(x - 1.1) ** 1.5 + 0.1 * x, 0.0, 0.4, 2.0, 1.1 - (0.1 / 1.5) ** 2),
+            (lambda x: np.cosh(4.0 * (x + 2.0)), -5.0, -1.0, 4.0, -2.0),
+        ],
+        ids=["quartic", "exp", "cusp", "cosh"],
+    )
+    def test_brent_reaches_the_minimum_within_xtol(self, sse, a, x, b, optimum):
+        found, value = fitting._brent(sse, a, x, b, sse(a), sse(x), sse(b))
+        assert abs(found - optimum) <= fitting._XTOL
+        assert value == sse(found)
+
+    def test_fit_of_an_exact_curve_recovers_its_range(self):
+        lags = np.arange(1.0, 31.0)
+        for cls in (SphericalVariogram, GaussianVariogram):
+            emp = synth_empirical(cls(sill=3.0, range_=17.0, nugget_=0.5), lags)
+            kind = cls.__name__.removesuffix("Variogram").lower()
+            for start in (None, float(np.log(2.0)), float(np.log(17.3))):
+                fit = fit_variogram(emp, kind, start=start)
+                assert abs(np.log(fit.model.range_) - np.log(17.0)) <= 1e-6, (kind, start)
+
+    def test_profile_evaluation_budget(self, fir_setup, count_evaluations, monkeypatch):
+        # Points a profile is evaluated at per refit over the recorded fir
+        # growth, incumbent refits chained from the previous fit as in the
+        # estimator.  Brent's search: 18 per incumbent refit and 194 per
+        # reselection over AUTO_KINDS (three grids of 48-60 points, a few
+        # Brent steps per basin, and the returned models).  The zoom search
+        # made 138 (8 rounds of 17 points and the returned model) and 1,378.
+        def budget(search):
+            with monkeypatch.context() as patched:
+                patched.setattr(fitting, "_search", search)
+                incumbent, full, fit = [], [], None
+                for emp in _trajectory_corpus(fir_setup):
+                    count_evaluations.append(0)
+                    selected = select_variogram(emp, AUTO_KINDS)
+                    full.append(count_evaluations[-1])
+                    if fit is not None and selected.kind != "linear":
+                        count_evaluations.append(0)
+                        fit = fit_variogram(emp, fit.kind, start=_coordinate(fit.model))
+                        incumbent.append(count_evaluations[-1])
+                    if fit is None or fit.kind == "linear":
+                        fit = selected
+            return np.mean(incumbent), np.mean(full)
+
+        incumbent, full = budget(fitting._search)
+        zoom_incumbent, zoom_full = budget(_zoom_search)
+        assert incumbent <= 30 and full <= 300, (incumbent, full)
+        assert zoom_incumbent > 100 and zoom_full > 1000, (zoom_incumbent, zoom_full)
