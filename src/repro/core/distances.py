@@ -3,6 +3,17 @@
 The paper measures configuration proximity with the L1 norm (Algorithms 1-2,
 line "dCur = ||w - w_sim||_1"); L2 and Linf are provided for the ablation
 study (experiment E11 in DESIGN.md).
+
+Every batch distance goes through one reduction, :func:`_norms`: the
+differences of a row block (or of one query) are laid out coordinate-major,
+``(Nv, rows, cols)``, and reduced over the leading axis, so coordinates are
+summed in index order (``|d_0| + |d_1| + ...``) whatever the block's shape.  No
+temporary is larger than one block of :data:`_PAIRWISE_BLOCK_BYTES`, so a
+bulk distance matrix never materializes the ``(n, n, Nv)`` cube.  For
+``Nv <= 7`` index order is exactly what a last-axis ``np.sum`` does (numpy
+sums short rows sequentially); on integer coordinates every order is exact.
+Only non-integer coordinates with ``Nv >= 8`` can differ from a last-axis
+pairwise sum, by a few ulp.
 """
 
 from __future__ import annotations
@@ -19,8 +30,8 @@ __all__ = [
     "cross_distances",
 ]
 
-_PAIRWISE_BLOCK_BYTES = 32 * 1024 * 1024
-"""Upper bound on the broadcast temporary of one pairwise block."""
+_PAIRWISE_BLOCK_BYTES = 1024 * 1024
+"""Upper bound on the coordinate-major difference block of one reduction."""
 
 
 class DistanceMetric(enum.Enum):
@@ -66,6 +77,49 @@ def distance(
     return float(np.max(np.abs(diff)))
 
 
+def _norms(diff: np.ndarray, metric: DistanceMetric, out: np.ndarray) -> np.ndarray:
+    """Reduce C-ordered coordinate-major differences ``(Nv, ...)`` into ``out``.
+
+    ``diff`` is overwritten.  numpy reduces a leading axis by combining
+    whole slices in index order; a lone pair (one element per slice) is
+    accumulated explicitly, because numpy would reduce that single
+    contiguous row pairwise.
+    """
+    # Positional ``out`` arguments: keyword parsing would dominate the
+    # small blocks of a single query or a small support set.
+    l2 = metric is DistanceMetric.L2
+    if l2:
+        np.multiply(diff, diff, diff)
+    else:
+        np.abs(diff, diff)
+    combine = np.maximum if metric is DistanceMetric.LINF else np.add
+    nv = diff.shape[0]
+    if nv > 1 and diff.size == nv:
+        out[...] = combine.accumulate(diff.ravel())[-1]
+    else:
+        combine.reduce(diff, 0, None, out)
+    if l2:
+        np.sqrt(out, out)
+    return out
+
+
+def _block_norms(
+    at: np.ndarray, bt: np.ndarray, metric: DistanceMetric, out: np.ndarray
+) -> np.ndarray:
+    """Distances between the columns of ``at`` ``(Nv, ra)`` and ``bt`` ``(Nv, nb)``.
+
+    Writes the ``(ra, nb)`` block into ``out`` (which may be a strided
+    view) from one ``(Nv, ra, nb)`` difference array.
+    """
+    diff = np.empty((at.shape[0], at.shape[1], bt.shape[1]))
+    return _norms(np.subtract(at[:, :, None], bt[:, None, :], diff), metric, out)
+
+
+def _block_rows(nv: int, cols: int) -> int:
+    """Rows per block so one ``(Nv, rows, cols)`` difference array fits the budget."""
+    return max(1, _PAIRWISE_BLOCK_BYTES // (8 * max(nv, 1) * max(cols, 1)))
+
+
 def distances_to(
     points: np.ndarray,
     query: np.ndarray,
@@ -79,20 +133,8 @@ def distances_to(
         raise ValueError(
             f"query shape {q.shape} incompatible with points of dim {pts.shape[1]}"
         )
-    diff = pts - q[None, :]
-    if metric is DistanceMetric.L1:
-        return np.sum(np.abs(diff), axis=1)
-    if metric is DistanceMetric.L2:
-        return np.sqrt(np.sum(diff * diff, axis=1))
-    return np.max(np.abs(diff), axis=1)
-
-
-def _reduce(diff: np.ndarray, metric: DistanceMetric) -> np.ndarray:
-    if metric is DistanceMetric.L1:
-        return np.sum(np.abs(diff), axis=-1)
-    if metric is DistanceMetric.L2:
-        return np.sqrt(np.sum(diff * diff, axis=-1))
-    return np.max(np.abs(diff), axis=-1)
+    diff = np.subtract(pts.T, q[:, None], np.empty((q.size, pts.shape[0])))
+    return _norms(diff, metric, np.empty(pts.shape[0]))
 
 
 def cross_distances(
@@ -102,8 +144,8 @@ def cross_distances(
 ) -> np.ndarray:
     """``(len(a), len(b))`` distance matrix between two point sets.
 
-    Like :func:`pairwise_distances`, computed in row blocks so the
-    broadcast temporary stays bounded regardless of the input sizes.
+    Computed in row blocks of ``a`` so the difference temporary stays
+    bounded regardless of the input sizes.
     """
     metric = DistanceMetric.coerce(metric)
     pa = _as_2d(a)
@@ -114,14 +156,19 @@ def cross_distances(
         )
     na, nv = pa.shape
     nb = pb.shape[0]
-    if na * nb * max(nv, 1) * 8 <= _PAIRWISE_BLOCK_BYTES:
-        return _reduce(pa[:, None, :] - pb[None, :, :], metric)
-
-    block = max(1, _PAIRWISE_BLOCK_BYTES // (nb * max(nv, 1) * 8))
-    out = np.empty((na, nb), dtype=np.float64)
+    at, bt = pa.T, pb.T
+    out = np.empty((na, nb))
+    if 8 * nv * na * nb <= _PAIRWISE_BLOCK_BYTES:
+        # One block, with the longer point set along numpy's inner loop
+        # (|x - y| = |y - x|, so the transposed block has the same bits).
+        if nb >= na:
+            return _block_norms(at, bt, metric, out)
+        _block_norms(bt, at, metric, out.T)
+        return out
+    block = _block_rows(nv, nb)
     for start in range(0, na, block):
         stop = min(start + block, na)
-        out[start:stop] = _reduce(pa[start:stop, None, :] - pb[None, :, :], metric)
+        _block_norms(at[:, start:stop], bt, metric, out[start:stop])
     return out
 
 
@@ -130,24 +177,22 @@ def pairwise_distances(
 ) -> np.ndarray:
     """Full symmetric distance matrix between the rows of ``points``.
 
-    Computed in row blocks over the upper triangle (mirrored into the lower)
-    so the broadcast temporary stays bounded (~32 MB) instead of
-    materializing the full ``(n, n, Nv)`` cube — past a few thousand points
-    the naive broadcast exhausts memory.
+    Computed in row blocks over the upper triangle (mirrored into the lower,
+    which is exact: ``|x - y| = |y - x|``), so no temporary exceeds one
+    block and symmetry halves the work.
     """
     metric = DistanceMetric.coerce(metric)
     pts = _as_2d(points)
     n, nv = pts.shape
-    if n * n * max(nv, 1) * 8 <= _PAIRWISE_BLOCK_BYTES:
-        return _reduce(pts[:, None, :] - pts[None, :, :], metric)
-
-    block = max(1, _PAIRWISE_BLOCK_BYTES // (n * max(nv, 1) * 8))
-    out = np.empty((n, n), dtype=np.float64)
+    pt = pts.T
+    out = np.empty((n, n))
+    if 8 * nv * n * n <= _PAIRWISE_BLOCK_BYTES:
+        return _block_norms(pt, pt, metric, out)
+    block = _block_rows(nv, n)
     for start in range(0, n, block):
         stop = min(start + block, n)
         # Columns >= start only: earlier iterations already mirrored the
-        # columns < start of these rows (symmetry halves the work).
-        d = _reduce(pts[start:stop, None, :] - pts[None, start:, :], metric)
-        out[start:stop, start:] = d
+        # columns < start of these rows.
+        d = _block_norms(pt[:, start:stop], pt[:, start:], metric, out[start:stop, start:])
         out[start:, start:stop] = d.T
     return out

@@ -169,23 +169,44 @@ def _validate(
     return pts, vals, q
 
 
-def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+#: Largest accepted ``sum |w|`` of one right-hand side's kriging weights.
+#: Ordinary-kriging weights sum to one, so this is the factor by which an
+#: estimate can amplify the spread of its support values.  Sound systems
+#: stay in single digits (at most 7.2 over the Table I replays, 4.9 in the
+#: optimizer loop, 3.1 when serving).  A numerically singular but consistent
+#: system (the linear variogram on rectangle configurations of an L1
+#: lattice) passes the residual check, yet LU returns one of its many
+#: solutions with an arbitrary null-space component; its weights run into
+#: the tens or far beyond.
+_MAX_WEIGHT_GAIN = 32.0
+
+
+def _solve(matrix: np.ndarray, rhs: np.ndarray, n_weights: int | None = None) -> np.ndarray:
     """Solve the kriging system, falling back to least squares when needed.
 
     ``rhs`` may be a single vector or a ``(size, m)`` matrix of right-hand
-    sides; the matrix is factorized once either way.  Besides hard
+    sides; the matrix is factorized once either way.  The first
+    ``n_weights`` rows of the solution are kriging weights (default: every
+    row but the bordered system's Lagrange row).  Besides hard
     singularity (``LinAlgError`` / non-finite entries), the direct solve is
-    also rejected when its *residual* is large relative to the right-hand
-    side: on nearly singular systems (e.g. the piecewise-linear variogram on
-    collinear lattice supports) ``solve`` can return finite garbage whose
-    unit-sum constraint row is badly violated, while the minimum-norm
-    least-squares solution of the same (consistent) system honours it.
+    rejected when its *residual* is large relative to the right-hand side
+    (on nearly singular systems ``solve`` can return finite garbage that
+    badly violates the unit-sum row) or when its weights' ``sum |w|``
+    exceeds :data:`_MAX_WEIGHT_GAIN` (a singular system solved exactly, but
+    with an arbitrary null-space component).  The minimum-norm
+    least-squares solution of the same system honours both.
     """
+    if n_weights is None:
+        n_weights = matrix.shape[0] - 1
     try:
         solution = np.linalg.solve(matrix, rhs)
         if np.all(np.isfinite(solution)):
             residual = np.abs(matrix @ solution - rhs).max()
-            if residual <= 1e-6 * max(1.0, np.abs(rhs).max()):
+            gain = np.abs(solution[:n_weights]).sum(0).max()
+            if (
+                residual <= 1e-6 * max(1.0, np.abs(rhs).max())
+                and gain <= _MAX_WEIGHT_GAIN
+            ):
                 return solution
     except np.linalg.LinAlgError:
         pass
@@ -462,8 +483,9 @@ def _solve_stack(
 
     Right-hand sides are zero-padded to the widest member (a zero column
     back-substitutes to an exactly zero column, so padding is free); each
-    slice is then residual-checked with the same criterion as :func:`_solve`
-    and failing slices fall back to the per-group fresh solver.
+    slice is then checked with the same residual and weight-gain criteria as
+    :func:`_solve`, and failing slices fall back to the per-group fresh
+    solver.
     """
     if len(members) == 1:
         idx, prep = members[0]
@@ -501,7 +523,8 @@ def _solve_stack(
         finite = np.isfinite(solutions).all(axis=(1, 2))
         residuals = np.abs(systems @ solutions - rhs).max(axis=(1, 2))
         scales = np.maximum(1.0, np.abs(rhs).max(axis=(1, 2)))
-        ok = finite & (residuals <= 1e-6 * scales)
+        gains = np.abs(solutions[:, :size]).sum(1).max(1)
+        ok = finite & (residuals <= 1e-6 * scales) & (gains <= _MAX_WEIGHT_GAIN)
     t2 = time.perf_counter()
     if phases is not None:
         phases.add(assembly=t1 - t0, factorize=t2 - t1)
@@ -622,7 +645,7 @@ def simple_kriging(
 
     cov_matrix = sill - gamma_matrix
     cov_query = sill - gamma_query
-    weights = _solve(cov_matrix, cov_query)
+    weights = _solve(cov_matrix, cov_query, cov_query.size)
     estimate = float(mean + weights @ (vals - mean))
     variance = float(sill - weights @ cov_query)
     return KrigingResult(

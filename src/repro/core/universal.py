@@ -144,7 +144,7 @@ def universal_kriging(
 
         return ordinary_kriging(pts, vals, q, variogram, metric=metric)
 
-    solution = _solve(system, rhs)
+    solution = _solve(system, rhs, n)
     weights = solution[:n]
     multipliers = solution[n:]
     estimate = float(weights @ vals)

@@ -18,6 +18,14 @@ stateless estimate absorbs all points into a fresh one.  Pairs enter in
 column-major order, ``(0, j), ..., (j - 1, j)`` for each new ``j``, and
 ``np.add.at`` adds them in that order, so one-point, block and bulk
 growth give bitwise-equal estimates.
+
+A bulk absorb (a seeded, restored or migrated session's first fit) takes
+the new rows in blocks bounded by the distance kernel's budget, computing
+for each block only the pairs with earlier points, through the same
+coordinate-order reduction as every other distance.  A large block's lags
+are binned once with ``np.unique``, so only its few distinct lags are
+located in (or merged into) the sorted lag set; a small block (a one-point
+refit) searches the lag set for each pair, which skips the sort.
 """
 
 from __future__ import annotations
@@ -26,9 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.distances import _PAIRWISE_BLOCK_BYTES, DistanceMetric, cross_distances
+from repro.core.distances import _PAIRWISE_BLOCK_BYTES, DistanceMetric, _block_norms
 
 __all__ = ["empirical_semivariogram", "EmpiricalVariogram", "LagAccumulator"]
+
+_SORT_BINNING_MIN = 2048
+"""Pairs in one absorbed block from which sorting its lags once is cheaper
+than a binary search of the lag set per pair."""
 
 
 @dataclass(frozen=True)
@@ -92,31 +104,46 @@ class LagAccumulator:
         n0, n1 = self.n_points, points.shape[0]
         if n1 < n0:
             raise ValueError(f"accumulator holds {n0} points but only {n1} were given")
-        # Bound the distance block of a bulk absorb; rows go in order, so
+        # Bound the difference block of a bulk absorb; rows go in order, so
         # the per-lag sums are the same however the rows are split.
-        step = max(1, _PAIRWISE_BLOCK_BYTES // (8 * max(n1, 1)))
+        step = max(1, _PAIRWISE_BLOCK_BYTES // (8 * max(points.shape[1], 1) * max(n1, 1)))
         for start in range(n0, n1, step):
             self._absorb_rows(points, values, start, min(start + step, n1))
         self.n_points = n1
 
     def _absorb_rows(self, points: np.ndarray, values: np.ndarray, r0: int, r1: int) -> None:
         # Row r of the block is new point j = r0 + r; its pairs are the
-        # columns i < j, taken row by row (column-major triangle order).
+        # columns i < j, taken row by row (column-major triangle order);
+        # only the block's own diagonal square holds columns to drop.
+        dist = _block_norms(points[r0:r1].T, points[:r1].T, self.metric, np.empty((r1 - r0, r1)))
         earlier = np.arange(r1)[None, :] < np.arange(r0, r1)[:, None]
-        lags = cross_distances(points[r0:r1], points[:r1], self.metric)[earlier]
-        diff = (values[None, :r1] - values[r0:r1, None])[earlier]
+        lags = dist[earlier]
+        sq = 0.5 * (values[None, :r1] - values[r0:r1, None])[earlier] ** 2
         keep = lags > 0
-        lags = lags[keep]
-        merged = np.union1d(self.lags, lags)
-        if merged.size > self.lags.size:
+        if not keep.all():
+            # Coincident pairs carry no lag (gamma(0) = 0 by definition).
+            lags, sq = lags[keep], sq[keep]
+        if lags.size == 0:
+            return
+        # Many pairs share few lags: sort the block once and locate only its
+        # distinct lags.  A small block locates each lag directly, which
+        # skips the sort's fixed cost; both give the same slots.
+        inverse = None
+        if lags.size >= _SORT_BINNING_MIN:
+            lags, inverse = np.unique(lags, return_inverse=True)
+        slots = np.searchsorted(self.lags, lags)
+        if self.lags.size == 0 or not np.array_equal(self.lags.take(slots, mode="clip"), lags):
             # New lags: move the old sums and counts to their new slots.
+            merged = np.union1d(self.lags, lags)
             old = np.searchsorted(merged, self.lags)
             sums, counts = np.zeros(merged.size), np.zeros(merged.size, dtype=np.int64)
             sums[old], counts[old] = self.sums, self.counts
             self.lags, self.sums, self.counts = merged, sums, counts
-        slots = np.searchsorted(merged, lags)
-        np.add.at(self.sums, slots, 0.5 * diff[keep] ** 2)
-        self.counts += np.bincount(slots, minlength=merged.size)
+            slots = np.searchsorted(merged, lags)
+        if inverse is not None:
+            slots = slots[inverse]
+        np.add.at(self.sums, slots, sq)
+        self.counts += np.bincount(slots, minlength=self.lags.size)
 
     def estimate(self) -> EmpiricalVariogram:
         """Eq. 4 over every absorbed pair."""

@@ -15,7 +15,7 @@ import numpy as np
 __all__ = ["EvaluationRecord", "OptimizationTrace", "OptimizationResult"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvaluationRecord:
     """One metric query answered during an optimization run.
 

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.distances import (
     DistanceMetric,
+    cross_distances,
     distance,
     distances_to,
     pairwise_distances,
@@ -157,3 +159,101 @@ class TestBlockedPairwise:
         expected = pairwise_distances(pts)
         monkeypatch.setattr(mod, "_PAIRWISE_BLOCK_BYTES", 1)  # block size 1
         np.testing.assert_array_equal(pairwise_distances(pts), expected)
+
+
+def _last_axis_reduction(a, b, metric):
+    """The reduction the batch functions used to run: the broadcast
+    ``(na, nb, Nv)`` difference cube reduced along its last axis."""
+    diff = a[:, None, :] - b[None, :, :]
+    if metric is DistanceMetric.L1:
+        return np.sum(np.abs(diff), axis=-1)
+    if metric is DistanceMetric.L2:
+        return np.sqrt(np.sum(diff * diff, axis=-1))
+    return np.max(np.abs(diff), axis=-1)
+
+
+def _index_order(a, b, metric):
+    """Coordinates combined one at a time, in index order."""
+    terms = a[:, None, :] - b[None, :, :]
+    terms = terms * terms if metric is DistanceMetric.L2 else np.abs(terms)
+    total = terms[..., 0].copy()
+    for k in range(1, terms.shape[-1]):
+        if metric is DistanceMetric.LINF:
+            total = np.maximum(total, terms[..., k])
+        else:
+            total = total + terms[..., k]
+    return np.sqrt(total) if metric is DistanceMetric.L2 else total
+
+
+def _assert_bits(got, expected):
+    got, expected = np.ascontiguousarray(got), np.ascontiguousarray(expected)
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def _all_routes(a, b, metric):
+    """(route result, oracle inputs) for every public batch function."""
+    return [
+        (cross_distances(a, b, metric), (a, b)),
+        (pairwise_distances(a, metric), (a, a)),
+        (distances_to(b, a[0], metric)[None, :], (a[:1], b)),
+    ]
+
+
+class TestCoordinateOrderKernel:
+    """One coordinates-outer reduction serves every batch function."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        metric=st.sampled_from(list(DistanceMetric)),
+        integer=st.booleans(),
+    )
+    def test_equals_last_axis_reduction(self, data, metric, integer):
+        # Bitwise on any finite floats up to Nv = 7 (numpy sums short rows
+        # in index order), and on integer coordinates of any Nv (exact).
+        nv = data.draw(st.integers(1, 40 if integer else 7), label="nv")
+        na = data.draw(st.integers(1, 9), label="na")
+        nb = data.draw(st.integers(1, 9), label="nb")
+        if integer:
+            elements = st.integers(-(2**20), 2**20).map(float)
+        else:
+            elements = st.floats(allow_nan=False, allow_infinity=False, width=64)
+        a = data.draw(hnp.arrays(np.float64, (na, nv), elements=elements), label="a")
+        b = data.draw(hnp.arrays(np.float64, (nb, nv), elements=elements), label="b")
+        with np.errstate(over="ignore", invalid="ignore"):
+            for got, (x, y) in _all_routes(a, b, metric):
+                _assert_bits(got, _last_axis_reduction(x, y, metric))
+
+    @pytest.mark.parametrize("metric", list(DistanceMetric))
+    @pytest.mark.parametrize("nv", [1, 2, 7, 8, 23])
+    def test_index_order_for_every_shape(self, metric, nv, monkeypatch):
+        # A lone pair, single rows and columns, one block and many blocks
+        # all combine coordinates in the same order.
+        import repro.core.distances as mod
+
+        rng = np.random.default_rng(nv)
+        # Many lone pairs: numpy's pairwise sum of one row often, not
+        # always, rounds like index order.
+        for na, nb in [(1, 1)] * 20 + [(1, 5), (5, 1), (6, 9)]:
+            a = rng.normal(size=(na, nv)) * 10.0 ** rng.uniform(-2, 2, size=nv)
+            b = rng.normal(size=(nb, nv)) * 10.0 ** rng.uniform(-2, 2, size=nv)
+            for got, (x, y) in _all_routes(a, b, metric):
+                _assert_bits(got, _index_order(x, y, metric))
+        a = rng.normal(size=(40, nv))
+        whole = _all_routes(a, a, metric)
+        monkeypatch.setattr(mod, "_PAIRWISE_BLOCK_BYTES", 8 * nv * 40 * 3)  # 3-row blocks
+        for (got, (x, y)), (blocked, _) in zip(whole, _all_routes(a, a, metric)):
+            _assert_bits(got, _index_order(x, y, metric))
+            _assert_bits(blocked, got)
+
+    @pytest.mark.parametrize("metric", list(DistanceMetric))
+    @pytest.mark.parametrize("nv", [8, 12, 23])
+    def test_many_float_coordinates_within_4_ulp(self, metric, nv):
+        # From Nv = 8 numpy's last-axis sum is pairwise, so non-integer
+        # coordinates may round differently, by a few ulp at most.
+        rng = np.random.default_rng(100 + nv)
+        a = rng.normal(size=(30, nv)) * 10.0 ** rng.uniform(-1, 1, size=nv)
+        b = rng.normal(size=(40, nv)) * 10.0 ** rng.uniform(-1, 1, size=nv)
+        for got, (x, y) in _all_routes(a, b, metric):
+            np.testing.assert_array_max_ulp(got, _last_axis_reduction(x, y, metric), maxulp=4)

@@ -367,6 +367,48 @@ class TestIllConditionedFallback:
         assert moved.estimate - base.estimate == pytest.approx(1.0, abs=1e-6)
 
 
+class TestSingularWeightScreen:
+    """A singular but consistent system passes the residual check while LU
+    returns weights with an arbitrary null-space component; the weight-gain
+    screen sends it to the minimum-norm least-squares solution instead."""
+
+    @staticmethod
+    def _second_field():
+        # The second draw of the cross-validation test's smooth field: its
+        # L1-lattice systems under the linear variogram are singular
+        # (rectangle configurations; condition numbers ~1e17).
+        rng = np.random.default_rng(1234)
+        for _ in range(2):
+            pts = np.unique(rng.integers(0, 10, size=(25, 2)).astype(float), axis=0)
+            vals = pts @ np.array([2.0, -1.0]) + rng.normal(0, 0.1, size=pts.shape[0])
+        return pts, vals
+
+    def test_loo_residual_small_at_singular_point(self):
+        from repro.core.crossval import loo_cross_validate
+
+        pts, vals = self._second_field()
+        result = loo_cross_validate(pts, vals, VG)
+        (row,) = np.flatnonzero((pts == [5.0, 3.0]).all(axis=1))
+        assert abs(result.residuals[row]) <= 0.1
+
+    def test_stacked_slice_is_screened(self):
+        from repro.core.kriging import _MAX_WEIGHT_GAIN, ordinary_kriging_grouped
+
+        pts, vals = self._second_field()
+        (row,) = np.flatnonzero((pts == [5.0, 3.0]).all(axis=1))
+        groups = []
+        for left_out in (row, 0):
+            keep = np.arange(pts.shape[0]) != left_out
+            groups.append((pts[keep], vals[keep], pts[left_out][None, :]))
+        # Both supports have the same size, so they share one batched solve.
+        stacked = ordinary_kriging_grouped(groups, VG)
+        for (support, values, query), (result,) in zip(groups, stacked):
+            single = ordinary_kriging(support, values, query[0], VG)
+            assert np.abs(result.weights).sum() <= _MAX_WEIGHT_GAIN
+            assert result.estimate == pytest.approx(single.estimate, abs=1e-9)
+        assert abs(stacked[0][0].estimate - vals[row]) <= 0.1
+
+
 class TestStackedGroupedSolve:
     """ordinary_kriging_grouped: same-size systems batched into one gesv
     call, semantics identical to the per-group path."""

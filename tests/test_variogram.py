@@ -263,3 +263,79 @@ class TestGrowthRoutes:
         estimate = bulk.estimate()
         _assert_bitwise(one_point.estimate(), estimate)
         _assert_bitwise(blocks.estimate(), estimate)
+
+
+class TestManyFloatCoordinates:
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_stateless_equals_incremental_at_23_variables(self, metric):
+        # Non-integer coordinates at Nv = 23: lags are no longer exact, so
+        # only a shared reduction order keeps the routes bitwise equal.
+        rng = np.random.default_rng(23)
+        points, values = _field(rng, 160, 23)
+        points += rng.uniform(-0.5, 0.5, size=points.shape)
+        store = LagAccumulator(metric)
+        for n in (*range(2, 40), 41, 97, 160):
+            incremental = empirical_semivariogram(
+                points[:n], values[:n], metric=metric, store=store
+            )
+            stateless = empirical_semivariogram(points[:n], values[:n], metric=metric)
+            _assert_bitwise(incremental, stateless)
+
+
+class TestBulkAbsorbMemory:
+    def test_bulk_absorb_peak_below_4_mb(self):
+        # A seeded or restored 600-point, 5-variable session absorbs all its
+        # pairs at once; the (600, 600, 5) difference cube alone would be
+        # 14.4 MB.
+        import tracemalloc
+
+        points, values = _field(np.random.default_rng(600), 600, 5)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            LagAccumulator("l1").absorb(points, values)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 4 * 1024 * 1024
+
+
+class TestRestoredFirstFit:
+    def test_restored_600_point_estimator_fits_like_the_live_one(self):
+        # The live estimator absorbs its pairs 50 points at a time; the one
+        # restored from its 600-point snapshot absorbs all of them at its
+        # first refit.
+        from repro.core.estimator import KrigingEstimator
+
+        rng = np.random.default_rng(650)
+        lattice = np.unique(rng.integers(0, 8, size=(2000, 5)), axis=0)
+        points = lattice[rng.permutation(lattice.shape[0])[:650]].astype(float)
+        weights = rng.normal(size=5)
+
+        def simulate(config):
+            config = np.asarray(config, dtype=np.float64)
+            return float(np.sin(config @ weights) + 0.1 * config @ config)
+
+        settings = dict(distance=4.0, nn_min=0, variogram="exponential", refit_interval=50)
+        live = KrigingEstimator(simulate, 5, **settings)
+        for start in range(0, 600, 50):
+            for config in points[start : start + 50]:
+                live.force_simulate(config)
+            # Off the lattice, next to a simulated point: interpolated.
+            assert live.evaluate(points[start] + 0.25).interpolated
+        assert live._fitted_at == live._lag_sums.n_points == 600
+        restored = KrigingEstimator.from_state(simulate, live.to_state())
+        assert restored._lag_sums.n_points == 0
+        for estimator in (live, restored):
+            for config in points[600:650]:
+                estimator.force_simulate(config)
+        outcomes = [estimator.evaluate(points[0] + 0.25) for estimator in (live, restored)]
+        assert restored._fitted_at == live._fitted_at == restored._lag_sums.n_points == 650
+        for name in ("lags", "sums", "counts"):
+            assert np.array_equal(getattr(live._lag_sums, name), getattr(restored._lag_sums, name))
+        assert live.variogram.to_state() == restored.variogram.to_state()
+        assert outcomes[0].interpolated
+        assert outcomes[0].value == outcomes[1].value
