@@ -27,7 +27,6 @@ from repro.bench.workloads.query_engine import (  # noqa: E402,F401
     SUPPORT_SIZES,
     QUICK_SUPPORT_SIZES,
     run_benchmark,
-    run_l2_index_benchmark,
 )
 from repro.bench.workloads import query_engine as _workload  # noqa: E402
 
@@ -39,8 +38,7 @@ def write_report(report: dict, path: pathlib.Path = RESULT_PATH) -> None:
 
 
 def test_query_engine_speedup():
-    """The batch engine beats the seed hot path >= 5x at n=2000 and the
-    KD-tree beats the brute-force L2 path."""
+    """The batch engine beats the seed hot path >= 5x at n=2000."""
     report = run_benchmark()
     write_report(report)
     assert report["acceptance"]["passed"], report["acceptance"]

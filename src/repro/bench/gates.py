@@ -7,9 +7,6 @@ small frozen dataclasses, one per gating idiom:
 :class:`RowRatchetGate`
     Speedup ratios gated per row of a list section (``results`` keyed by
     ``n_support``); rows the current run skipped (quick mode) are ignored.
-:class:`SectionRatchetGate`
-    Ratios inside an optional section — gated only when the section exists
-    in *both* reports (older baselines predate it).
 :class:`TopRatchetGate`
     A top-level ratio: skipped when absent from the baseline, a loud
     failure when the current run silently drops it.
@@ -51,7 +48,6 @@ __all__ = [
     "MalformedReport",
     "GateResult",
     "RowRatchetGate",
-    "SectionRatchetGate",
     "TopRatchetGate",
     "GuardedRatchetGate",
     "FlagGate",
@@ -145,34 +141,6 @@ class RowRatchetGate:
                             cur_row[field], bound, base_row[field], factor,
                         )
                     )
-
-
-@dataclass(frozen=True)
-class SectionRatchetGate:
-    """Ratchet ``fields`` inside ``section`` when both reports carry it."""
-
-    section: str
-    fields: tuple[str, ...]
-
-    def apply(self, baseline: dict, current: dict, factor: float, out: GateResult) -> None:
-        base_section = baseline.get(self.section)
-        cur_section = current.get(self.section)
-        if not (base_section and cur_section):
-            return  # older baselines predate the section
-        for field in self.fields:
-            if field not in base_section:
-                continue
-            if field not in cur_section:
-                out.fail(f"{self.section}.{field}: missing from the current report")
-                continue
-            bound = base_section[field] / factor
-            if cur_section[field] < bound:
-                out.fail(
-                    _ratchet_message(
-                        f"{self.section}.{field}",
-                        cur_section[field], bound, base_section[field], factor,
-                    )
-                )
 
 
 @dataclass(frozen=True)
@@ -361,8 +329,6 @@ class CoverageGate:
 
 #: Speedup fields gated per support-size row of ``results``.
 ROW_FIELDS = ("speedup_evaluate_vs_seed", "speedup_batch_vs_seed")
-#: Speedup fields gated in the ``l2_index`` section.
-L2_FIELDS = ("speedup_kdtree_vs_brute",)
 
 #: The solve-path gate on the query-engine report's ``stacked`` section:
 #: stacked batched factorization vs per-group solves.  Multi-core-guarded
@@ -377,11 +343,7 @@ SOLVE_RATIO_GATES = (
 
 #: Gate specs per report kind — the whole regression policy, as data.
 GATE_SETS: dict[str, tuple] = {
-    "query_engine": (
-        RowRatchetGate(fields=ROW_FIELDS),
-        SectionRatchetGate("l2_index", L2_FIELDS),
-    )
-    + SOLVE_RATIO_GATES,
+    "query_engine": (RowRatchetGate(fields=ROW_FIELDS),) + SOLVE_RATIO_GATES,
     "service": (
         # The batched-vs-unbatched ratio is recorded but not gated (like
         # thread scaling, it depends on the runner's core count).

@@ -54,7 +54,7 @@ def history_entry(report: dict, commit: str | None = None) -> dict:
                 ratios[f"{prefix}.{field}"] = value
     # The cluster drills contribute their absolute timings too
     # (migration.migrate_seconds, failover.detect_seconds).
-    for section in ("l2_index", "migration", "failover"):
+    for section in ("migration", "failover"):
         data = report.get(section)
         if not data:
             continue

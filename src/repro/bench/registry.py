@@ -67,7 +67,7 @@ _DEFS = (
         module=f"{_WORKLOADS}.query_engine",
         description=(
             "Kriging query engine vs seed reimplementation: evaluate/batch "
-            "speedups per support size, KD-tree index, stacked solves"
+            "speedups per support size, stacked solves"
         ),
         gated=True,
         baseline="BENCH_query_engine.json",

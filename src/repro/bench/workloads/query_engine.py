@@ -9,13 +9,12 @@ Times a fixed interpolation-heavy sweep three ways at several support sizes:
   the seed is exact-coordinate cache keys, so all three variants compute
   identical results.)
 * ``evaluate`` — the current per-query path: contiguous zero-copy cache,
-  lattice bucket index, per-query solve.
+  one distance scan of its view, per-query solve.
 * ``batch``    — ``KrigingEstimator.evaluate_batch``: additionally groups
   queries sharing a support set and factorizes each group's bordered
   matrix once.
 
-Two sections ride along: ``l2_index`` (brute vs KD-tree radius queries
-under the L2 metric) and ``stacked`` (a per-group ``ordinary_kriging_batch``
+One section rides along: ``stacked`` (a per-group ``ordinary_kriging_batch``
 loop vs ``ordinary_kriging_grouped``, which stacks same-size systems into
 one batched LAPACK call per size bin; both must answer bit-identically).
 The sweep mimics a dense surface exploration (cf. ``experiments/figure1``):
@@ -43,7 +42,6 @@ from repro.core.kriging import (
     ordinary_kriging_grouped,
 )
 from repro.core.models import ExponentialVariogram, LinearVariogram
-from repro.core.neighborhood import find_neighbors
 
 NUM_VARIABLES = 5
 LATTICE = 12
@@ -70,7 +68,7 @@ SPEC = WorkloadSpec(
     kind="query_engine",
     description=(
         "Interpolation-heavy sweep: seed hot path vs evaluate vs batch, "
-        "plus l2-index and stacked-solve sections"
+        "plus a stacked-solve section"
     ),
     seed=WORKLOAD_SEED,
     repetitions=2,
@@ -180,8 +178,7 @@ def _engine_estimator(support, support_values, **kwargs) -> KrigingEstimator:
     kwargs.setdefault("variogram", LinearVariogram(1.0))
     est = KrigingEstimator(_field, NUM_VARIABLES, **kwargs)
     for config, value in zip(support, support_values):
-        row = est.cache.add(config, value)
-        est.neighbor_index.insert(config, row)
+        est.cache.add(config, value)
     return est
 
 
@@ -190,81 +187,6 @@ def _time(fn, *, repetitions: int = 1, samples: SampleLog | None = None, label: 
     if samples is not None:
         samples.record(best, label)
     return best, result
-
-
-def run_l2_index_benchmark(
-    n_support: int = ACCEPTANCE_N,
-    n_queries: int = N_QUERIES,
-    repetitions: int = 2,
-    samples: SampleLog | None = None,
-) -> dict:
-    """The L2 radius-query path: brute-force index versus the KD-tree.
-
-    The gated ratio times :func:`~repro.core.neighborhood.find_neighbors`
-    itself — the exact work the index prunes, and a stable ratio to gate on.
-    The full interpolation sweep is recorded alongside for context (there
-    the kriging solves dilute the search win).
-    """
-    support, support_values, queries = _make_workload(n_support, n_queries)
-    query_timings = {}
-    sweep_timings = {}
-    outputs = {}
-    for kind in ("brute", "kdtree"):
-        est = _engine_estimator(
-            support, support_values, metric="l2", neighbor_index=kind
-        )
-        points = est.cache.points
-        index = est.neighbor_index
-        find_neighbors(points, queries[0], DISTANCE, metric="l2", index=index)  # warm
-
-        def _queries_only(points=points, index=index):
-            return [
-                find_neighbors(points, q, DISTANCE, metric="l2", index=index)
-                for q in queries
-            ]
-
-        def _sweep(kind=kind):
-            est = _engine_estimator(
-                support, support_values, metric="l2", neighbor_index=kind
-            )
-            return est.evaluate_batch(queries)
-
-        query_timings[kind], neighbor_lists = _time(
-            _queries_only, repetitions=repetitions,
-            samples=samples, label=f"l2_index.query_{kind}",
-        )
-        sweep_timings[kind], outputs[kind] = _time(
-            _sweep, repetitions=repetitions,
-            samples=samples, label=f"l2_index.sweep_{kind}",
-        )
-        outputs[f"{kind}_neighbors"] = neighbor_lists
-
-    # The index is a pruning knob only: identical neighbourhoods and values.
-    for brute_rows, kd_rows in zip(
-        outputs["brute_neighbors"], outputs["kdtree_neighbors"]
-    ):
-        np.testing.assert_array_equal(brute_rows, kd_rows)
-    np.testing.assert_allclose(
-        [o.value for o in outputs["brute"]],
-        [o.value for o in outputs["kdtree"]],
-        rtol=1e-9,
-        atol=1e-9,
-    )
-    return {
-        "n_support": n_support,
-        "n_queries": n_queries,
-        "metric": "l2",
-        "query_brute_seconds": round(query_timings["brute"], 6),
-        "query_kdtree_seconds": round(query_timings["kdtree"], 6),
-        "speedup_kdtree_vs_brute": round(
-            query_timings["brute"] / query_timings["kdtree"], 2
-        ),
-        "sweep_brute_seconds": round(sweep_timings["brute"], 6),
-        "sweep_kdtree_seconds": round(sweep_timings["kdtree"], 6),
-        "sweep_speedup_kdtree_vs_brute": round(
-            sweep_timings["brute"] / sweep_timings["kdtree"], 2
-        ),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -416,9 +338,6 @@ def run_benchmark(
         )
 
     acceptance_row = next(r for r in results if r["n_support"] == ACCEPTANCE_N)
-    l2 = run_l2_index_benchmark(
-        n_queries=n_queries, repetitions=repetitions, samples=samples
-    )
     # The stacked-vs-per-group solve section; its ratio gates
     # multi-core-guarded, like the cluster floor.
     stacked = run_stacked_benchmark(repetitions=repetitions, samples=samples)
@@ -432,17 +351,12 @@ def run_benchmark(
             "query_model": "clustered fractional sweep (20 queries/cell)",
         },
         "results": results,
-        "l2_index": l2,
         "stacked": stacked,
         "acceptance": {
             "n_support": ACCEPTANCE_N,
             "speedup_batch_vs_seed": acceptance_row["speedup_batch_vs_seed"],
             "threshold": ACCEPTANCE_SPEEDUP,
-            "speedup_kdtree_vs_brute": l2["speedup_kdtree_vs_brute"],
-            "passed": (
-                acceptance_row["speedup_batch_vs_seed"] >= ACCEPTANCE_SPEEDUP
-                and l2["speedup_kdtree_vs_brute"] > 1.0
-            ),
+            "passed": acceptance_row["speedup_batch_vs_seed"] >= ACCEPTANCE_SPEEDUP,
         },
     }
     return report
@@ -456,13 +370,6 @@ def print_summary(report: dict) -> None:
             f"batch={row['evaluate_batch_seconds']:.3f}s  "
             f"batch-vs-seed={row['speedup_batch_vs_seed']:.1f}x"
         )
-    l2 = report["l2_index"]
-    print(
-        f"l2 n={l2['n_support']}  queries: brute={l2['query_brute_seconds']:.3f}s  "
-        f"kdtree={l2['query_kdtree_seconds']:.3f}s  "
-        f"({l2['speedup_kdtree_vs_brute']:.2f}x)  "
-        f"sweep: {l2['sweep_speedup_kdtree_vs_brute']:.2f}x"
-    )
     stacked = report.get("stacked")
     if stacked:
         print(

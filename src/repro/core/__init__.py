@@ -37,12 +37,6 @@ from repro.core.estimator import (
     SolvePhaseStats,
 )
 from repro.core.fitting import FittedVariogram, fit_variogram, select_variogram
-from repro.core.index import (
-    BruteForceIndex,
-    LatticeBucketIndex,
-    NeighborIndex,
-    make_index,
-)
 from repro.core.kriging import (
     KrigingResult,
     SolvePhases,
@@ -92,10 +86,6 @@ __all__ = [
     "quadratic_drift",
     "KrigingResult",
     "find_neighbors",
-    "NeighborIndex",
-    "BruteForceIndex",
-    "LatticeBucketIndex",
-    "make_index",
     "SimulationCache",
     "KrigingEstimator",
     "EstimationOutcome",

@@ -12,9 +12,8 @@ its access patterns are O(1):
 
 * **Growth** — rows live in a single contiguous ``(capacity, Nv)`` array
   that doubles whenever it fills (geometric growth), so ``add`` is
-  amortized O(1) and the rows of a given configuration never move relative
-  to each other (indices handed to a
-  :class:`~repro.core.index.NeighborIndex` stay valid).
+  amortized O(1) and a configuration keeps its row index for the cache's
+  lifetime (append-only).
 * **Access** — :attr:`points` / :attr:`values` return zero-copy, read-only
   views of the filled prefix; no per-access materialization happens.  Views
   taken before a growth keep the old buffer alive and stay valid (append-

@@ -13,15 +13,13 @@ available through ``refit_interval``.
 
 Performance
 -----------
-The query hot path is a vectorized engine with three layers:
+The query hot path is a vectorized engine with four layers:
 
 * the :class:`~repro.core.cache.SimulationCache` stores support points in a
   contiguous geometrically-grown array, so ``points`` / ``values`` are
   zero-copy O(1) views;
-* neighbourhood lookups route through a
-  :class:`~repro.core.index.NeighborIndex` (a coordinate-sum bucket index
-  on the integer lattice for L1/Linf, a median-split KD-tree for L2), so a
-  radius query no longer scans every simulated point;
+* a neighbourhood lookup is one distance scan of that view
+  (:func:`~repro.core.neighborhood.find_neighbors`);
 * :meth:`KrigingEstimator.evaluate_batch` answers a whole sweep of queries
   at once: runs of interpolations between two simulations are grouped by
   support set and solved by
@@ -56,7 +54,6 @@ from repro.core.fitting import (
     select_variogram,
     warm_start,
 )
-from repro.core.index import NeighborIndex, make_index
 from repro.core.kriging import (
     SolvePhases,
     ordinary_kriging,
@@ -356,11 +353,6 @@ class KrigingEstimator:
         trends when extrapolating.  Ill-posed drift systems (too few or
         degenerate support points) transparently fall back to ordinary
         kriging.
-    neighbor_index:
-        Index kind for neighbourhood lookups: ``"auto"`` (default — the
-        lattice bucket index for L1/Linf, a KD-tree for L2), ``"bucket"``,
-        ``"kdtree"`` or ``"brute"``.  Purely a performance knob: results are
-        identical.
     """
 
     def __init__(
@@ -377,7 +369,6 @@ class KrigingEstimator:
         max_neighbors: int | None = None,
         max_variance: float | None = None,
         interpolator: str = "ordinary",
-        neighbor_index: str = "auto",
     ) -> None:
         if distance < 0:
             raise ValueError(f"distance must be >= 0, got {distance}")
@@ -403,10 +394,6 @@ class KrigingEstimator:
         self.nn_min = int(nn_min)
         self.metric = DistanceMetric.coerce(metric)
         self.cache = SimulationCache(num_variables)
-        self._neighbor_index_kind = neighbor_index
-        self.neighbor_index: NeighborIndex = make_index(
-            self.metric, num_variables, neighbor_index
-        )
         self.stats = EstimatorStats()
         self._factor_cache = FactorCache(stats=self.stats.factor)
         self._variogram_spec = variogram
@@ -504,15 +491,13 @@ class KrigingEstimator:
             self.distance,
             metric=self.metric,
             max_neighbors=self._max_neighbors,
-            index=self.neighbor_index,
         )
 
     def _record_simulation(self, config: np.ndarray, n_neighbors: int) -> EstimationOutcome:
         start = time.perf_counter()
         value = float(self._simulate(config))
         self.stats.simulation_seconds += time.perf_counter() - start
-        row = self.cache.add(config, value)
-        self.neighbor_index.insert(config, row)
+        self.cache.add(config, value)
         self.stats.n_simulated += 1
         return EstimationOutcome(value=value, interpolated=False, n_neighbors=n_neighbors)
 
@@ -741,8 +726,7 @@ class KrigingEstimator:
         cached = self.cache.lookup(config)
         if cached is not None:
             return self._exact_hit_outcome(cached)
-        row = self.cache.add(config, float(value))
-        self.neighbor_index.insert(config, row)
+        self.cache.add(config, float(value))
         self.stats.n_simulated += 1
         return EstimationOutcome(value=float(value), interpolated=False, n_neighbors=0)
 
@@ -755,10 +739,8 @@ class KrigingEstimator:
         The state bundles the policy configuration, the (possibly fitted)
         variogram, the full simulation cache (as float64 arrays — bitwise)
         and the statistics including the quantile-sketch markers.  The
-        ``simulate`` callable and the neighbour index are **not**
-        serialized: the first is supplied to :meth:`from_state`, the second
-        is a derived performance layer rebuilt on restore (decisions and
-        cache contents never depend on it).  Neither is the factor cache:
+        ``simulate`` callable is **not** serialized: it is supplied to
+        :meth:`from_state`.  Neither is the factor cache:
         a restored estimator starts with it cold.  Nor are the per-lag
         sums of the empirical variogram: the first refit after a restore
         absorbs the whole cache, bitwise equal to the sums it replaces.
@@ -793,7 +775,6 @@ class KrigingEstimator:
             "max_neighbors": self._max_neighbors,
             "max_variance": self._max_variance,
             "interpolator": self.interpolator,
-            "neighbor_index": self._neighbor_index_kind,
             "fitted": fitted.to_state() if fitted is not None else None,
             "fitted_at": self._fitted_at,
             "cache": self.cache.to_state(),
@@ -815,8 +796,8 @@ class KrigingEstimator:
 
         Version-1 and version-2 states both load, and the factor cache
         always restores cold.  Keys that older states carry for the
-        persisted factor cache, its on/off switch and the removed thread
-        pool are ignored.
+        persisted factor cache, its on/off switch, the removed thread pool
+        and the removed neighbour index are ignored.
         """
         if state.get("version") not in (1, 2):
             raise ValueError(
@@ -837,14 +818,10 @@ class KrigingEstimator:
             "max_neighbors": state["max_neighbors"],
             "max_variance": state["max_variance"],
             "interpolator": state["interpolator"],
-            "neighbor_index": state["neighbor_index"],
         }
         kwargs.update(overrides)
         estimator = cls(simulate, int(state["cache"]["num_variables"]), **kwargs)
         estimator.cache = SimulationCache.from_state(state["cache"])
-        points = estimator.cache.points
-        for row in range(len(estimator.cache)):
-            estimator.neighbor_index.insert(points[row], row)
         if state["fitted"] is not None:
             estimator._fitted = variogram_from_state(state["fitted"])
         estimator._fitted_at = int(state["fitted_at"])

@@ -2,10 +2,10 @@
 
 Algorithms 1-2 keep the already-simulated configurations within L1 distance
 ``d`` of the configuration being evaluated (lines 7-16 of both listings).
-The seed scanned every point per query; :func:`find_neighbors` now
-optionally routes through a :class:`~repro.core.index.NeighborIndex`, which
-generates a *candidate superset* so the exact distance test touches only a
-few points.  The result is identical either way — the index only prunes.
+:func:`find_neighbors` scans every simulated point once: one
+:func:`~repro.core.distances.distances_to` over the cache view, then a
+stable sort of the points inside the ball.  At the hundreds to few
+thousand points a session holds, that scan is as fast as any pruning index.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.distances import DistanceMetric, distances_to
-from repro.core.index import NeighborIndex
 
 __all__ = ["find_neighbors"]
 
@@ -25,7 +24,6 @@ def find_neighbors(
     *,
     metric: DistanceMetric | str = DistanceMetric.L1,
     max_neighbors: int | None = None,
-    index: NeighborIndex | None = None,
 ) -> np.ndarray:
     """Indices of ``points`` within ``max_distance`` of ``query``.
 
@@ -41,10 +39,6 @@ def find_neighbors(
         Distance metric (paper: L1).
     max_neighbors:
         Optional cap; when set, the *closest* ``max_neighbors`` are returned.
-    index:
-        Optional :class:`~repro.core.index.NeighborIndex` covering exactly
-        the rows of ``points``; when given, only the index's candidates are
-        distance-tested instead of every row.
 
     Returns
     -------
@@ -61,28 +55,9 @@ def find_neighbors(
         raise ValueError(f"max_neighbors must be >= 1, got {max_neighbors}")
     q = np.asarray(query, dtype=np.float64)
 
-    if index is not None and len(index) != pts.shape[0]:
-        raise ValueError(
-            f"index covers {len(index)} rows but points has {pts.shape[0]}; "
-            "cache and index must grow in lockstep"
-        )
-    candidates = index.candidates(q, max_distance) if index is not None else None
-    if candidates is not None and candidates.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if candidates is not None and candidates.size < pts.shape[0]:
-        dist = distances_to(pts[candidates], q, metric)
-        inside = np.flatnonzero(dist <= max_distance)
-        order = np.argsort(dist[inside], kind="stable")
-        neighbors = candidates[inside[order]]
-    else:
-        # No pruning (no index, or candidates cover every row — e.g. the
-        # brute-force fallback): scan the view directly, skipping the
-        # O(n * Nv) gather copy a full fancy-index would cost.
-        dist = distances_to(pts, q, metric)
-        inside = np.flatnonzero(dist <= max_distance)
-        order = np.argsort(dist[inside], kind="stable")
-        neighbors = inside[order]
-
+    dist = distances_to(pts, q, metric)
+    inside = np.flatnonzero(dist <= max_distance)
+    neighbors = inside[np.argsort(dist[inside], kind="stable")]
     if max_neighbors is not None:
         neighbors = neighbors[:max_neighbors]
     return neighbors.astype(np.int64)

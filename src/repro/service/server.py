@@ -57,8 +57,8 @@ from repro.service.session import EstimatorSession, check_name, load_snapshot, m
 __all__ = ["JsonLineServer", "KrigingService", "ServiceError", "run_server"]
 
 #: Estimator constructor keywords ``create_session`` forwards verbatim.
-#: Other keys, such as ``backend``, ``n_jobs`` and ``factor_cache`` from
-#: older clients, are ignored.
+#: Other keys, such as ``backend``, ``n_jobs``, ``factor_cache`` and
+#: ``neighbor_index`` from older clients, are ignored.
 ESTIMATOR_KEYS = (
     "distance",
     "nn_min",
@@ -69,7 +69,6 @@ ESTIMATOR_KEYS = (
     "max_neighbors",
     "max_variance",
     "interpolator",
-    "neighbor_index",
 )
 
 
@@ -783,8 +782,8 @@ class KrigingService(JsonLineServer):
             raise _bad_request("missing 'path' (or snapshot 'name')")
         path = self._snapshot_path(request)
         def rebuild() -> EstimatorSession:
-            # Off the loop: restoring re-inserts every cache row into the
-            # neighbour index.
+            # Off the loop: reading and rebuilding a large snapshot takes
+            # a while.
             state = load_snapshot(path)
             return EstimatorSession.from_state(
                 state,

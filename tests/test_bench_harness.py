@@ -429,7 +429,7 @@ class TestBenchCli:
 # ---------------------------------------------------------------------------
 def _solve_report(stacked_speedup=1.5, cpus=8):
     """A query-engine report reduced to its ``stacked`` section (the row
-    and ``l2_index`` gates skip sections the baseline lacks)."""
+    gate has no rows to match)."""
     return {
         "benchmark": "query_engine",
         "hardware": {"cpus": cpus, "machine": "test"},

@@ -30,10 +30,11 @@ def _report(batch_speedup=8.0):
                 "speedup_batch_vs_seed": batch_speedup,
             }
         ],
-        "l2_index": {
-            "query_brute_seconds": 0.17,
-            "query_kdtree_seconds": 0.11,
-            "speedup_kdtree_vs_brute": 1.5,
+        # History collects ``*_seconds`` and ``speedup_*`` fields of the
+        # named sections whatever report carries them.
+        "migration": {
+            "migrate_seconds": 0.17,
+            "speedup_migrate_vs_restore": 1.5,
         },
         "stacked": {
             "pergroup_seconds": 0.40,
@@ -72,9 +73,9 @@ class TestHistory:
         assert entry["commit"] == "abc123"
         assert entry["machine"]["python"]
         assert entry["absolute_seconds"]["n2000.seed_seconds"] == 2.5
-        assert entry["absolute_seconds"]["l2_index.query_brute_seconds"] == 0.17
+        assert entry["absolute_seconds"]["migration.migrate_seconds"] == 0.17
         assert entry["ratios"]["n2000.speedup_batch_vs_seed"] == 8.0
-        assert entry["ratios"]["l2_index.speedup_kdtree_vs_brute"] == 1.5
+        assert entry["ratios"]["migration.speedup_migrate_vs_restore"] == 1.5
 
     def test_append_creates_and_extends_jsonl(self, tmp_path):
         history = tmp_path / "BENCH_history.jsonl"

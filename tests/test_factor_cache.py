@@ -163,8 +163,7 @@ class TestEstimatorIntegration:
         )
         support = rng.uniform(0.0, 8.0, size=(120, 3))
         for point in support:
-            row = estimator.cache.add(point, self._field(point))
-            estimator.neighbor_index.insert(point, row)
+            estimator.cache.add(point, self._field(point))
         return estimator, support
 
     def _batch_and_sequential(self, seed, ops, **kwargs):

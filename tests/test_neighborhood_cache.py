@@ -45,6 +45,36 @@ class TestFindNeighbors:
         idx_linf = find_neighbors(self.PTS, np.array([1, 1]), 2.0, metric="linf")
         assert set(idx_linf.tolist()) >= set(idx_l1.tolist())
 
+    @pytest.mark.parametrize("max_neighbors", [None, 7])
+    @pytest.mark.parametrize("metric", ["l1", "l2", "linf"])
+    def test_lattice_ties_keep_insertion_order(self, metric, max_neighbors):
+        # Integer lattice points in a small box: most distances are shared
+        # by many points, so the order inside each tie is what is pinned.
+        rng = np.random.default_rng(7)
+        cache = SimulationCache(5)
+        for point in rng.integers(0, 5, size=(300, 5)).astype(float):
+            if cache.lookup(point) is None:
+                cache.add(point, 0.0)
+        pts = cache.points
+        norms = {
+            "l1": lambda diff: np.abs(diff).sum(axis=1),
+            "l2": lambda diff: np.sqrt((diff * diff).sum(axis=1)),
+            "linf": lambda diff: np.abs(diff).max(axis=1),
+        }[metric]
+        for _ in range(20):
+            query = rng.integers(0, 5, size=5).astype(float)
+            radius = float(rng.integers(1, 6))
+            dist = norms(pts - query)
+            inside = np.flatnonzero(dist <= radius)
+            expected = inside[np.argsort(dist[inside], kind="stable")][:max_neighbors]
+            got = find_neighbors(
+                pts, query, radius, metric=metric, max_neighbors=max_neighbors
+            )
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, expected)
+            ties = np.diff(dist[got]) == 0
+            assert np.all(np.diff(got)[ties] > 0)
+
 
 class TestSimulationCache:
     def test_empty_cache(self):

@@ -123,6 +123,29 @@ class TestBasicVerbs:
 
         serve(body)
 
+    def test_removed_neighbor_index_key_from_old_clients_ignored(self):
+        """Clients written against the neighbour indexes still send
+        ``neighbor_index``; the session answers exactly like one created
+        without it, and its snapshot state no longer carries the key."""
+
+        async def body(client, service, host, port):
+            queries = [[1.5, 2.0, 3.0], [2.25, 1.5, 2.5], [9.0, 9.0, 9.0]]
+            answers = {}
+            for name, extra in (("plain", {}), ("indexed", {"neighbor_index": "kdtree"})):
+                info = await client.create_session(name, **extra, **SESSION_KWARGS)
+                assert info["session"] == name
+                await client.simulate_many(name, _support().tolist())
+                answers[name] = [
+                    (o.value, o.interpolated, o.n_neighbors)
+                    for o in [await client.evaluate(name, q) for q in queries]
+                ]
+            assert answers["indexed"] == answers["plain"]
+            assert any(interpolated for _, interpolated, _ in answers["plain"])
+            state = service.sessions["indexed"].estimator.to_state()
+            assert "neighbor_index" not in state
+
+        serve(body)
+
     def test_malformed_json_answered_with_protocol_error(self):
         async def body(client, service, host, port):
             reader, writer = await asyncio.open_connection(host, port)

@@ -43,8 +43,7 @@ def _warm_session(tmp_path):
     est = KrigingEstimator(_simulate, 3, distance=4.0, nn_min=1, variogram="linear")
     pts = np.unique(rng.integers(0, 6, size=(120, 3)), axis=0).astype(float)
     for p in pts:
-        row = est.cache.add(p, _simulate(p))
-        est.neighbor_index.insert(p, row)
+        est.cache.add(p, _simulate(p))
     queries = pts[:12] + 0.25
     est.evaluate_batch(queries)
     assert dict(est.stats.factor.as_pairs())["fresh"] > 0
@@ -153,9 +152,6 @@ class TestCurrentVersion:
         twin_a = KrigingEstimator.from_state(_simulate, state)
         twin_b = KrigingEstimator.from_state(_simulate, state)
         twin_a.cache.add([9.0, 9.0, 9.0], _simulate([9.0, 9.0, 9.0]))
-        twin_a.neighbor_index.insert(
-            np.array([9.0, 9.0, 9.0]), len(twin_a.cache) - 1
-        )
         twin_a.evaluate_batch(queries)
         out_b = twin_b.evaluate_batch(queries)
         ref = KrigingEstimator.from_state(_simulate, load_snapshot(path)["estimator"])
@@ -180,23 +176,28 @@ class TestPreviousVersion:
 
     def test_state_with_removed_solve_knobs_restores(self, tmp_path):
         """Snapshots written before the solve path was reduced to one carry
-        ``backend``/``shm``/``stacking`` and ``stats.pool_failures``.  They
-        restore with those keys ignored and then decide exactly as the
-        original estimator does."""
+        ``backend``/``shm``/``stacking`` and ``stats.pool_failures``, and
+        those written before the neighbour index was removed carry
+        ``neighbor_index``.  They restore with those keys ignored and then
+        decide exactly as the original estimator does."""
         est, path, _ = _warm_session(tmp_path)
         state = est.to_state()
-        for key in ("backend", "shm", "stacking"):
+        for key in ("backend", "shm", "stacking", "neighbor_index"):
             assert key not in state
         assert "pool_failures" not in state["stats"]
 
         def to_old_format(manifest):
-            manifest["estimator"].update(backend="process", shm=True, stacking=False)
+            manifest["estimator"].update(
+                backend="process", shm=True, stacking=False, neighbor_index="kdtree"
+            )
             manifest["estimator"]["stats"]["pool_failures"] = 2
             return manifest
 
         old = _rewrite(path, tmp_path / "old.npz", patch_manifest=to_old_format)
         old_state = load_snapshot(old)["estimator"]
-        assert old_state["backend"] == "process"  # the keys really are there
+        # The keys really are there.
+        assert old_state["backend"] == "process"
+        assert old_state["neighbor_index"] == "kdtree"
         restored = KrigingEstimator.from_state(_simulate, old_state)
 
         # Interpolations near the support plus far points that must simulate.
@@ -219,20 +220,21 @@ class TestPreviousVersion:
 
     def test_parent_v2_state_with_bridged_factors_restores_cold(self):
         """The estimator state of a snapshot written with ``n_jobs=2`` and a
-        persisted factor cache holding rank-1-derived factors: ``n_jobs``
-        and every factor-cache key are ignored, and the recorded queries
-        answer as they did when written."""
+        persisted factor cache holding rank-1-derived factors: ``n_jobs``,
+        ``neighbor_index`` and every factor-cache key are ignored, and the
+        recorded queries answer as they did when written."""
         assert [
             name for name in zipfile.ZipFile(PARENT_SNAPSHOT).namelist()
             if name.startswith("factor")
         ]  # the factor members really are there
         state = _load_silently(PARENT_SNAPSHOT)["estimator"]
         assert state["version"] == 2 and state["n_jobs"] == 2
+        assert state["neighbor_index"] == "auto"
         assert "factor_section" not in state and "factor_cache" not in state
         assert dict(map(tuple, state["stats"]["factor"]))["updates"] > 0
 
         estimator = KrigingEstimator.from_state(_simulate, state)
-        for key in ("n_jobs", "factor_cache", "factor_entries"):
+        for key in ("n_jobs", "neighbor_index", "factor_cache", "factor_entries"):
             assert key not in estimator.to_state()
         _assert_cold_replay(estimator)
 

@@ -164,7 +164,7 @@ def _field(rng, n, nv):
     return points, values
 
 
-class TestPairLagStore:
+class TestLagAccumulator:
     """The per-lag pair sums of a :class:`LagAccumulator`: the incremental
     estimate equals the stateless one bit for bit."""
 
@@ -184,7 +184,7 @@ class TestPairLagStore:
     @pytest.mark.parametrize("metric", METRICS)
     def test_block_growth_through_blocked_distances(self, metric):
         from repro.core import distances
-        # 430 points x 23 variables: the distance cube passes the 32 MB
+        # 430 points x 23 variables: the distance cube passes the 1 MB
         # block limit, so a bulk absorb takes the blocked branch.
         points, values = _field(np.random.default_rng(11), 430, 23)
         assert 430 * 430 * 23 * 8 > distances._PAIRWISE_BLOCK_BYTES
@@ -206,8 +206,9 @@ class TestPairLagStore:
 
         points, values = _field(np.random.default_rng(13), 60, 3)
         whole = empirical_semivariogram(points, values)
-        # A budget of 8 rows per distance block splits the bulk absorb
-        # into 8 chunks; the sums must not notice.
+        # A budget of 8 * 8 * 60 bytes gives 2-row distance blocks at 3
+        # variables, so the bulk absorb takes 30 chunks; the sums must not
+        # notice.
         monkeypatch.setattr(variogram, "_PAIRWISE_BLOCK_BYTES", 8 * 8 * 60)
         _assert_bitwise(empirical_semivariogram(points, values), whole)
 
